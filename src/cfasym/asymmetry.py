@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Literal, Optional
 
-from .continuants import anticontinuant, continuant, fibonacci, _check_entries
+from .continuants import _check_entries, _continuant, fibonacci
 from .errors import DomainError
 
 Sigma = Literal["even", "odd"]
@@ -121,12 +121,7 @@ class TypeCatalog:
                             key=ParametricFamily.sort_key))
 
     def coarse_contains(self, c: int, core: tuple[int, ...]) -> bool:
-        core = tuple(core)
-        if any(t.c == c and t.core == core and t.sigma == "even"
-               for t in self.finite_types):
-            return True
-        return any(f.c == c and f.sigma == "even" and f.matches(core)
-                   for f in self.families)
+        return self.contains(c, core, "even")
 
 
 def decompose(q) -> AsymmetryDecomposition:
@@ -189,13 +184,15 @@ def type_value(t: ExtendedAsymmetryType) -> int:
         raise DomainError("value of a symmetric type is 0; marginal must be nonzero")
     core = tuple(t.core)
     _check_entries(core)
-    k = continuant(core)
-    a = anticontinuant(core)
-    return t.c * k - a if t.sigma == "even" else t.c * k + a
+    # reversing the core negates A(core), swapping the sigma-odd and sigma-even values
+    return _sigma_even_value(t.c, core if t.sigma == "even" else core[::-1])
 
 
 def _sigma_even_value(c: int, core: tuple[int, ...]) -> int:
-    return c * continuant(core) - anticontinuant(core)
+    """c * K(core) - A(core), unchecked: the inner loop of `enumerate_types`."""
+    last = len(core) - 1
+    a = _continuant(core, 0, last - 1) - _continuant(core, 1, last)
+    return c * _continuant(core, 0, last) - a
 
 
 def _matching_cores(c: int, lam: int, target: int) -> Iterator[tuple[int, ...]]:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Literal
 
-from .continuants import continuant_range, _check_entries
+from .continuants import _check_entries, _continuant
 from .errors import DomainError
 
 Parity = Literal["even", "odd"]
@@ -44,16 +44,6 @@ def validate_pair(alpha: int, beta: int) -> None:
         raise DomainError(f"beta = alpha only allowed for (1, 1), got ({alpha}, {beta})")
 
 
-def _euclid_quotients(alpha: int, beta: int) -> list[int]:
-    a, b = alpha, beta
-    qs = []
-    while b:
-        q, r = divmod(a, b)
-        qs.append(q)
-        a, b = b, r
-    return qs
-
-
 def expand(alpha: int, beta: int) -> tuple[int, ...]:
     """Quotient sequence of alpha/beta under the end-coefficient selection rule.
 
@@ -62,7 +52,12 @@ def expand(alpha: int, beta: int) -> tuple[int, ...]:
     that the first and last entries are both 1 or both >= 2.
     """
     validate_pair(alpha, beta)
-    qs = _euclid_quotients(alpha, beta)
+    a, b = alpha, beta
+    qs = []
+    while b:
+        q, r = divmod(a, b)
+        qs.append(q)
+        a, b = b, r
     if len(qs) >= 2 and (qs[0] == 1) != (qs[-1] == 1):
         qs[-1] -= 1
         qs.append(1)
@@ -73,17 +68,11 @@ def expand_with_parity(alpha: int, beta: int, parity: Parity) -> tuple[int, ...]
     """The representation of alpha/beta whose length has the requested parity."""
     if parity not in ("even", "odd"):
         raise DomainError(f"parity must be 'even' or 'odd', got {parity!r}")
-    validate_pair(alpha, beta)
-    qs = _euclid_quotients(alpha, beta)
     want = 0 if parity == "even" else 1
-    if len(qs) % 2 == want:
-        return tuple(qs)
-    if qs == [1]:
-        raise DomainError("1/1 has only the odd-length representation [1]")
-    # Euclidean final quotient is >= 2 here, so the flip is always a split
-    qs[-1] -= 1
-    qs.append(1)
-    return tuple(qs)
+    for q in representations(alpha, beta):
+        if len(q) % 2 == want:
+            return q
+    raise DomainError("1/1 has only the odd-length representation [1]")
 
 
 def alternate_expansion(q: tuple[int, ...]) -> tuple[int, ...]:
@@ -116,8 +105,8 @@ def evaluate(q) -> tuple[int, int]:
     if not q:
         raise DomainError("cannot evaluate an empty quotient sequence")
     _check_entries(q)
-    alpha = continuant_range(q, 0, len(q) - 1)
-    beta = continuant_range(q, 1, len(q) - 1)
+    alpha = _continuant(q, 0, len(q) - 1)
+    beta = _continuant(q, 1, len(q) - 1)
     return alpha, beta
 
 

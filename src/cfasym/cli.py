@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, dataclass
 
 from . import asymmetry, cf, congruence, continuants, verifier
 from .errors import DomainError
@@ -21,6 +22,7 @@ DOMAIN_EXIT = 2
 VIOLATION_EXIT = 3
 
 _FORMATS = ("text", "json", "csv")
+_SHOWN_VIOLATIONS = 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,12 +42,21 @@ def _seq_str(q) -> str:
     return ",".join(str(e) for e in q)
 
 
+@dataclass
 class _Result:
-    def __init__(self, text: str, payload=None, csv_text=None, exit_code: int = 0):
-        self.text = text
-        self.payload = payload if payload is not None else {"result": text}
-        self.csv_text = csv_text
-        self.exit_code = exit_code
+    text: str
+    payload: object
+    table: tuple | None = None  # (columns, rows), for subcommands with CSV output
+    exit_code: int = 0
+
+
+def _render_csv(columns, rows) -> str:
+    # the only CSV writer; cells never contain commas (cores use '.' separators)
+    return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
+
+
+def _scalar(key: str, value: int) -> _Result:
+    return _Result(str(value), {key: value})
 
 
 def _cmd_expand(args) -> _Result:
@@ -56,9 +67,7 @@ def _cmd_expand(args) -> _Result:
         raise DomainError("expand needs ALPHA BETA or --from-quotients")
     if args.predict_parity:
         pred = cf.parity_by_inverse(args.alpha, args.beta)
-        payload = {"u": pred.u, "v": pred.v, "v_inverse": pred.v_inverse,
-                   "same_side": pred.same_side, "predicted_parity": pred.predicted_parity}
-        return _Result(pred.predicted_parity, payload)
+        return _Result(pred.predicted_parity, asdict(pred))
     if args.parity == "conv":
         q = cf.expand(args.alpha, args.beta)
     else:
@@ -68,43 +77,30 @@ def _cmd_expand(args) -> _Result:
 
 def _cmd_continuant(args) -> _Result:
     if args.fib is not None:
-        value = continuants.fibonacci(args.fib)
-        return _Result(str(value), {"fibonacci": value})
+        return _scalar("fibonacci", continuants.fibonacci(args.fib))
     q = _parse_sequence(args.sequence)
     if args.euler is not None:
         k, l, m, n = (int(t) for t in args.euler.split(","))
-        value = continuants.euler_residual(q, k, l, m, n)
-        return _Result(str(value), {"euler_residual": value})
-    i = 0 if args.i is None else args.i
+        return _scalar("euler_residual", continuants.euler_residual(q, k, l, m, n))
     j = len(q) - 1 if args.j is None else args.j
-    value = continuants.continuant_range(q, i, j)
-    return _Result(str(value), {"continuant": value})
+    return _scalar("continuant", continuants.continuant_range(q, args.i, j))
 
 
 def _cmd_anticont(args) -> _Result:
     q = _parse_sequence(args.sequence)
-    i = 0 if args.i is None else args.i
     j = len(q) - 1 if args.j is None else args.j
-    value = continuants.anticontinuant_range(q, i, j)
-    return _Result(str(value), {"anticontinuant": value})
+    return _scalar("anticontinuant", continuants.anticontinuant_range(q, args.i, j))
 
 
 def _cmd_type(args) -> _Result:
-    given_type = args.marginal is not None and args.pivot is None and args.sequence is None
-    if given_type:
-        t = asymmetry.ExtendedAsymmetryType(
-            args.marginal, _parse_sequence(args.core) if args.core else (),
-            args.sigma or "even")
-        value = asymmetry.type_value(t)
-        return _Result(str(value), {"value": value})
     if args.marginal is not None:
-        dec = asymmetry.AsymmetryDecomposition(
-            depth=len(_parse_sequence(args.outer)) if args.outer else 0,
-            c=args.marginal,
-            core=_parse_sequence(args.core) if args.core else (),
-            pivot=args.pivot,
-            outer=_parse_sequence(args.outer) if args.outer else ())
-        q = asymmetry.compose(dec)
+        core = _parse_sequence(args.core) if args.core else ()
+        if args.pivot is None and args.sequence is None:
+            t = asymmetry.ExtendedAsymmetryType(args.marginal, core, args.sigma or "even")
+            return _scalar("value", asymmetry.type_value(t))
+        outer = _parse_sequence(args.outer) if args.outer else ()
+        q = asymmetry.compose(asymmetry.AsymmetryDecomposition(
+            depth=len(outer), c=args.marginal, core=core, pivot=args.pivot, outer=outer))
         return _Result(_seq_str(q), {"quotients": list(q)})
     if args.sequence is None:
         raise DomainError("type needs a SEQUENCE, or --marginal/--core/--sigma, "
@@ -125,47 +121,35 @@ def _cmd_type(args) -> _Result:
 def _cmd_enumerate(args) -> _Result:
     catalog = asymmetry.enumerate_types(args.n, args.parity)
     if args.coarse:
-        rows = [{"marginal": c, "core": list(core)} for c, core in catalog.coarse_pairs()]
-        rows += [{"marginal": f.c, "core": f.display_core()}
-                 for f in catalog.coarse_families()]
-        lines = [f"{r['marginal']} ; {r['core'] if isinstance(r['core'], str) else _seq_str(r['core'])}"
-                 for r in rows]
-        csv_text = "marginal,core\n" + "".join(
-            f"{r['marginal']},{(r['core'] if isinstance(r['core'], str) else _seq_str(r['core'])).replace(',', '.')}\n"
-            for r in rows)
-        return _Result("\n".join(lines), {"target": args.n, "coarse": rows}, csv_text)
-    rows = [{"marginal": t.c, "core": list(t.core), "sigma": t.sigma}
-            for t in catalog.members()]
-    rows += [{"marginal": f.c, "core": f.display_core(), "sigma": f.sigma}
-             for f in catalog.family_members()]
-    lines = [f"{r['marginal']} ; {r['core'] if isinstance(r['core'], str) else _seq_str(r['core'])} ; {r['sigma']}"
-             for r in rows]
-    csv_text = "marginal,core,sigma\n" + "".join(
-        f"{r['marginal']},{(r['core'] if isinstance(r['core'], str) else _seq_str(r['core'])).replace(',', '.')},{r['sigma']}\n"
-        for r in rows)
-    return _Result("\n".join(lines), {"target": args.n, "types": rows}, csv_text)
+        columns, key = ("marginal", "core"), "coarse"
+        found = [(c, list(core)) for c, core in catalog.coarse_pairs()]
+        found += [(f.c, f.display_core()) for f in catalog.coarse_families()]
+    else:
+        columns, key = ("marginal", "core", "sigma"), "types"
+        found = [(t.c, list(t.core), t.sigma) for t in catalog.members()]
+        found += [(f.c, f.display_core(), f.sigma) for f in catalog.family_members()]
+    # a finite type's core is a list of entries, a family's its pattern text like "p,1"
+    cells = [(c, core if isinstance(core, str) else _seq_str(core), *rest)
+             for c, core, *rest in found]
+    return _Result("\n".join(" ; ".join(map(str, r)) for r in cells),
+                   {"target": args.n, key: [dict(zip(columns, r)) for r in found]},
+                   (columns, [(c, core.replace(",", "."), *rest) for c, core, *rest in cells]))
 
 
 def _cmd_solve(args) -> _Result:
     spec = congruence.CongruenceSpec(args.n, args.s)
     roots = congruence.solve_quadratic(spec, args.alpha)
-    return _Result(_seq_str(roots) if roots else "",
-                   {"alpha": args.alpha, "roots": roots},
-                   "root\n" + "".join(f"{r}\n" for r in roots))
+    return _Result(_seq_str(roots), {"alpha": args.alpha, "roots": roots},
+                   (("root",), [(r,) for r in roots]))
 
 
 def _cmd_exceptional(args) -> _Result:
     spec = congruence.CongruenceSpec(args.n, args.s)
-    if args.true_exceptions:
-        pairs = congruence.true_exceptions(spec, include_negated=not args.single_sign)
-        text = " ".join(f"({a},{b})" for a, b in pairs)
-        return _Result(text, {"pairs": [list(p) for p in pairs]},
-                       "alpha,beta\n" + "".join(f"{a},{b}\n" for a, b in pairs))
-    if args.pairs:
-        pairs = congruence.candidate_pairs(spec, include_negated=not args.single_sign)
-        text = " ".join(f"({a},{b})" for a, b in pairs)
-        return _Result(text, {"pairs": [list(p) for p in pairs]},
-                       "alpha,beta\n" + "".join(f"{a},{b}\n" for a, b in pairs))
+    if args.true_exceptions or args.pairs:
+        find = congruence.true_exceptions if args.true_exceptions else congruence.candidate_pairs
+        pairs = find(spec, include_negated=not args.single_sign)
+        return _Result(" ".join(f"({a},{b})" for a, b in pairs),
+                       {"pairs": [list(p) for p in pairs]}, (("alpha", "beta"), pairs))
     cands = congruence.exceptional_candidates(spec)
     if args.certificates:
         payload = {str(m): [{"condition": c.condition, "witness": c.witness}
@@ -178,41 +162,20 @@ def _cmd_exceptional(args) -> _Result:
             for m, certs in cands.items())
         return _Result(text, payload)
     moduli = list(cands)
-    return _Result(_seq_str(moduli), {"moduli": moduli},
-                   "modulus\n" + "".join(f"{m}\n" for m in moduli))
+    return _Result(_seq_str(moduli), {"moduli": moduli}, (("modulus",), [(m,) for m in moduli]))
 
 
 def _cmd_folded(args) -> _Result:
     params = congruence.FoldedParams(args.b, args.n, args.a, args.eps)
     normalized = congruence.folded_normalize(params)
     if args.normalize_only:
-        payload = {"b": normalized.b, "n": normalized.n, "a": normalized.a,
-                   "epsilon": normalized.epsilon}
         return _Result(f"b={normalized.b} n={normalized.n} a={normalized.a} "
-                       f"eps={normalized.epsilon:+d}", payload)
+                       f"eps={normalized.epsilon:+d}", asdict(normalized))
     seq, form = congruence.folded_expand_classify(normalized)
     payload = {"alpha": normalized.alpha, "beta": normalized.beta,
-               "quotients": list(seq), "form": form.form, "x": form.x,
-               "pivot": form.pivot}
+               "quotients": list(seq), **asdict(form)}
     return _Result(f"{_seq_str(seq)} form={form.form} x={form.x} pivot={form.pivot}",
                    payload)
-
-
-def _report_result(report) -> _Result:
-    payload = report.to_dict()
-    lines = [f"checked={report.checked} matches={report.matches} "
-             f"violations={len(report.violations)}"]
-    for v in report.violations[:20]:
-        lines.append(f"  violation {v.kind}: alpha={v.alpha} beta={v.beta} "
-                     f"expansion={_seq_str(v.expansion) if v.expansion else '-'}")
-    for c in report.coarse_counterexamples:
-        lines.append(f"  coarse {c.direction}: alpha={c.alpha} beta={c.beta} "
-                     f"type=({c.marginal};{_seq_str(c.core)})")
-    csv_text = "kind,alpha,beta,expansion\n" + "".join(
-        f"{v.kind},{v.alpha},{v.beta},{_seq_str(v.expansion).replace(',', '.') if v.expansion else ''}\n"
-        for v in report.violations)
-    code = VIOLATION_EXIT if report.violations else 0
-    return _Result("\n".join(lines), payload, csv_text, exit_code=code)
 
 
 def _cmd_verify(args) -> _Result:
@@ -222,20 +185,27 @@ def _cmd_verify(args) -> _Result:
     else:
         spec = congruence.CongruenceSpec(args.n, args.s)
         report = verifier.verify_main_theorem(spec, args.alpha_max, mode=args.mode)
-    return _report_result(report)
+    violations = report.violations
+    lines = [f"checked={report.checked} matches={report.matches} "
+             f"violations={len(violations)}"]
+    for v in violations[:_SHOWN_VIOLATIONS]:
+        lines.append(f"  violation {v.kind}: alpha={v.alpha} beta={v.beta} "
+                     f"expansion={_seq_str(v.expansion) if v.expansion else '-'}")
+    if len(violations) > _SHOWN_VIOLATIONS:
+        lines.append(f"  ... and {len(violations) - _SHOWN_VIOLATIONS} more")
+    for c in report.coarse_counterexamples:
+        lines.append(f"  coarse {c.direction}: alpha={c.alpha} beta={c.beta} "
+                     f"type=({c.marginal};{_seq_str(c.core)})")
+    rows = [(v.kind, v.alpha, v.beta, _seq_str(v.expansion or ()).replace(",", "."))
+            for v in violations]
+    return _Result("\n".join(lines), report.to_dict(),
+                   (("kind", "alpha", "beta", "expansion"), rows),
+                   VIOLATION_EXIT if violations else 0)
 
 
 def _cmd_table(args) -> _Result:
     doc = verifier.build_table(args.n_max)
-    payload = {
-        "n_max": doc.n_max,
-        "rows": [{"value": r.value, "parity": r.parity,
-                  "entries": [{"marginal": e.marginal, "core": e.core}
-                              for e in r.entries],
-                  "exceptions": [list(p) for p in r.exceptions]}
-                 for r in doc.rows],
-    }
-    return _Result(doc.to_text().rstrip("\n"), payload, doc.to_csv())
+    return _Result(doc.to_text().rstrip("\n"), asdict(doc), (doc.columns, doc.csv_rows()))
 
 
 def build_parser() -> _Parser:
@@ -257,7 +227,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("continuant", help="continuant of a sequence or range")
     p.add_argument("sequence", nargs="?")
-    p.add_argument("--i", type=int)
+    p.add_argument("--i", type=int, default=0)
     p.add_argument("--j", type=int)
     p.add_argument("--fib", type=int, help="return the k-th Fibonacci number")
     p.add_argument("--euler", metavar="K,L,M,N",
@@ -266,7 +236,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("anticont", help="anticontinuant of a sequence or range")
     p.add_argument("sequence")
-    p.add_argument("--i", type=int)
+    p.add_argument("--i", type=int, default=0)
     p.add_argument("--j", type=int)
     p.set_defaults(func=_cmd_anticont)
 
@@ -313,18 +283,17 @@ def build_parser() -> _Parser:
     p.set_defaults(func=_cmd_folded)
 
     p = sub.add_parser("verify", help="run a verification sweep")
+    p.set_defaults(func=_cmd_verify)
     vsub = p.add_subparsers(dest="suite", required=True)
     pi = vsub.add_parser("identities", help="identity sweep over coprime pairs")
     pi.add_argument("--alpha-max", type=int, default=500)
     pi.add_argument("--trials", type=int, default=10000)
     pi.add_argument("--seed", type=int, default=0)
-    pi.set_defaults(func=_cmd_verify, suite="identities")
     pm = vsub.add_parser("main", help="roots versus typed expansions per modulus")
     pm.add_argument("--n", type=int, required=True)
     pm.add_argument("--s", type=int, choices=(0, 1), required=True)
     pm.add_argument("--alpha-max", type=int, default=2000)
     pm.add_argument("--mode", choices=("refined", "coarse"), default="refined")
-    pm.set_defaults(func=_cmd_verify, suite="main")
 
     p = sub.add_parser("table", help="types and true exceptions for values 1..n_max")
     p.add_argument("--n-max", type=int, default=6)
@@ -354,11 +323,11 @@ def main(argv=None) -> int:
     if fmt == "json":
         print(json.dumps(result.payload, sort_keys=True))
     elif fmt == "csv":
-        if result.csv_text is None:
+        if result.table is None:
             print("cfasym: error: csv output is not available for this subcommand",
                   file=sys.stderr)
             return USAGE_EXIT
-        sys.stdout.write(result.csv_text)
+        sys.stdout.write(_render_csv(*result.table))
     else:
         print(result.text)
     return result.exit_code

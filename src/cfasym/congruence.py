@@ -13,7 +13,7 @@ from math import gcd, isqrt
 from typing import Literal, Optional
 
 from .asymmetry import AsymmetryDecomposition, decompose
-from .cf import expand, representations
+from .cf import representations
 from .continuants import anticontinuant
 from .errors import DomainError, FoldedFormError
 
@@ -130,7 +130,9 @@ def exceptional_candidates(spec: CongruenceSpec) -> dict[int, tuple[ExceptionalC
       (1) alpha <= 2a;
       (2) alpha divides gamma*(gamma - a) + (-1)^s for some gamma in [1, a - 1];
       (3) alpha divides eta*(eta - 2a) + 4*(-1)^s for some eta in [1, 2a - 1].
-    Rejected for (s = 0, n = +-2), where condition values can vanish.
+    Rejected for (s = 0, n = +-2), the only spec where a condition value can
+    vanish: 0 needs gamma*(a - gamma) = 1, forcing a = 2 and s = 0, or
+    eta*(2a - eta) = 4, forcing eta = a = 2 and s = 0.
     """
     _require_workable(spec, "exceptional_candidates")
     a = abs(spec.n)
@@ -145,12 +147,10 @@ def exceptional_candidates(spec: CongruenceSpec) -> dict[int, tuple[ExceptionalC
         add(alpha, "small_alpha", None)
     for gamma in range(1, a):
         value = gamma * (gamma - a) + e
-        assert value != 0
         for alpha in _divisors(abs(value)):
             add(alpha, "gamma_condition", gamma)
     for eta in range(1, 2 * a):
         value = eta * (eta - 2 * a) + 4 * e
-        assert value != 0
         for alpha in _divisors(abs(value)):
             add(alpha, "eta_condition", eta)
 
@@ -220,13 +220,12 @@ def folded_expand_classify(p: FoldedParams) -> tuple[tuple[int, ...], FoldedForm
     alpha, beta = p.alpha, p.beta
     if not 1 <= beta < alpha:
         raise DomainError(f"denominator {beta} outside (0, {alpha})")
-    conv = expand(alpha, beta)
-    seq = conv
-    match = None
-    for cand in representations(alpha, beta):
+    reps = representations(alpha, beta)  # the selected expansion first
+    seq = reps[0]
+    for cand in reps:
         match = _match_form(decompose(cand))
         if match is not None:
-            if len(conv) > 2:
+            if len(reps[0]) > 2:
                 seq = cand
             break
     if match is None:

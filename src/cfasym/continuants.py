@@ -29,6 +29,16 @@ def _check_entries(q: Quotients) -> None:
             raise DomainError(f"quotient entries must be integers >= 1, got {e!r}")
 
 
+def _continuant(q: Quotients, i: int, j: int) -> int:
+    """Unchecked kernel of `continuant_range`; callers validate q and the range."""
+    if j == i - 2:
+        return 0
+    prev2, prev = 0, 1
+    for k in range(i, j + 1):
+        prev2, prev = prev, q[k] * prev + prev2
+    return prev
+
+
 def continuant_range(q: Quotients, i: int, j: int) -> int:
     """Continuant of q[i..j] inclusive.
 
@@ -39,12 +49,7 @@ def continuant_range(q: Quotients, i: int, j: int) -> int:
     s = len(q)
     if not (0 <= i and i <= j + 2 and j <= s - 1):
         raise DomainError(f"continuant range ({i}, {j}) invalid for length {s}")
-    if j == i - 2:
-        return 0
-    prev2, prev = 0, 1
-    for k in range(i, j + 1):
-        prev2, prev = prev, q[k] * prev + prev2
-    return prev
+    return _continuant(q, i, j)
 
 
 def continuant(q: Quotients) -> int:
@@ -61,7 +66,8 @@ def anticontinuant_range(q: Quotients, i: int, j: int) -> int:
     s = len(q)
     if not (0 <= i and i <= j + 1 and j <= s - 1):
         raise DomainError(f"anticontinuant range ({i}, {j}) invalid for length {s}")
-    return continuant_range(q, i, j - 1) - continuant_range(q, i + 1, j)
+    _check_entries(q)
+    return _continuant(q, i, j - 1) - _continuant(q, i + 1, j)
 
 
 def anticontinuant(q: Quotients) -> int:
@@ -79,7 +85,9 @@ def euler_residual(q: Quotients, k: int, l: int, m: int, n: int) -> int:
     s = len(q)
     if not (0 <= k <= l <= m + 2 and m <= n <= s - 1):
         raise DomainError(f"euler indices ({k}, {l}, {m}, {n}) invalid for length {s}")
-    lhs = (continuant_range(q, k, n) * continuant_range(q, l, m)
-           - continuant_range(q, k, m) * continuant_range(q, l, n))
+    _check_entries(q)
+    # every sub-range below is valid whenever the indices above are
+    lhs = (_continuant(q, k, n) * _continuant(q, l, m)
+           - _continuant(q, k, m) * _continuant(q, l, n))
     sign = -1 if (l + m) % 2 == 0 else 1
-    return lhs - sign * continuant_range(q, k, l - 2) * continuant_range(q, m + 2, n)
+    return lhs - sign * _continuant(q, k, l - 2) * _continuant(q, m + 2, n)

@@ -13,15 +13,13 @@ ordering, so equal inputs give byte-identical serializations.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from math import gcd
-from typing import Literal, Optional
+from typing import ClassVar, Iterator, Literal, Optional
 
-from .asymmetry import ParametricFamily, decompose, enumerate_types
+from .asymmetry import decompose, enumerate_types
 from .cf import alternate_expansion, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate,
                          exceptional_candidates, solve_quadratic, true_exceptions)
@@ -91,9 +89,7 @@ class ViolationRecord:
     kind: str
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta,
-                "expansion": list(self.expansion) if self.expansion else None,
-                "kind": self.kind}
+        return {**asdict(self), "expansion": list(self.expansion) if self.expansion else None}
 
 
 @dataclass(frozen=True)
@@ -105,8 +101,7 @@ class CoarseCounterexample:
     direction: str
 
     def to_dict(self) -> dict:
-        return {"alpha": self.alpha, "beta": self.beta, "marginal": self.marginal,
-                "core": list(self.core), "direction": self.direction}
+        return {**asdict(self), "core": list(self.core)}
 
 
 @dataclass(frozen=True)
@@ -327,21 +322,19 @@ class TableDocument:
 
     n_max: int
     rows: tuple[TableRow, ...]
-    columns: tuple[str, ...] = ("value", "parity", "marginal", "core", "exceptions")
+    columns: ClassVar[tuple[str, ...]] = ("value", "parity", "marginal", "core", "exceptions")
 
-    def to_csv(self) -> str:
-        # cells hold no commas: cores use '.' separators and exception pairs 'a:b'
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(self.columns)
+    def csv_rows(self) -> Iterator[tuple]:
+        """Cells under `columns`: cores use '.' separators and exception pairs 'a:b'."""
         for row in self.rows:
             exc = " ".join(f"{a}:{b}" for a, b in row.exceptions)
-            first = True
-            for entry in row.entries:
-                writer.writerow([row.value, row.parity, entry.marginal,
-                                 entry.core.replace(",", "."), exc if first else ""])
-                first = False
-        return buf.getvalue()
+            for k, entry in enumerate(row.entries):
+                yield (row.value, row.parity, entry.marginal,
+                       entry.core.replace(",", "."), "" if k else exc)
+
+    def to_csv(self) -> str:
+        from .cli import _render_csv  # late import: the CLI imports this module
+        return _render_csv(self.columns, self.csv_rows())
 
     def to_text(self) -> str:
         lines = []

@@ -204,3 +204,29 @@ def test_every_operation_reachable(capsys):
         code, out, err = run(capsys, *argv)
         assert code == 0, (op, err)
         assert out.endswith("\n")
+
+
+def test_verify_text_counts_unprinted_violations(capsys, monkeypatch):
+    real = verifier.verify_main_theorem
+
+    def broken(spec, alpha_max, mode="refined"):
+        report = real(spec, alpha_max, mode)
+        violations = tuple(verifier.ViolationRecord(7, 2, (3, 2), "root_without_type")
+                           for _ in range(25))
+        return verifier.VerificationReport(
+            kind=report.kind, alpha_min=report.alpha_min, alpha_max=report.alpha_max,
+            checked=report.checked, matches=report.matches,
+            violations=violations, n=report.n, s=report.s, mode=report.mode,
+            excluded=report.excluded)
+
+    monkeypatch.setattr(cli.verifier, "verify_main_theorem", broken)
+    argv = ["verify", "main", "--n", "4", "--s", "0", "--alpha-max", "20"]
+    code, out, _ = run(capsys, *argv)
+    lines = out.splitlines()
+    assert code == 3 and "violations=25" in lines[0]
+    assert sum(line.startswith("  violation ") for line in lines) == 20
+    assert lines[-1] == "  ... and 5 more"
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 3 and len(json.loads(out)["violations"]) == 25
+    code, out, _ = run(capsys, "--format", "csv", *argv)
+    assert code == 3 and out.count("root_without_type,7,2,3.2\n") == 25
