@@ -6,11 +6,19 @@ from cfasym.exhaustive import (scan_small_anticontinuants,
                                scan_small_anticontinuants_reference)
 
 
-def test_scanner_matches_reference():
-    fast = sorted(scan_small_anticontinuants(6, 4, 6))
-    slow = sorted(scan_small_anticontinuants_reference(6, 4, 6))
+@pytest.mark.parametrize("max_len, max_entry, value_bound", [
+    (6, 4, 6),
+    (4, 5, 7),        # max_len == chunk_depth + 1: only the last level vectorized
+    (9, 1, 3),        # entries all 1: every sequence is a palindrome, no hits
+    (6, 4, 1),        # the smallest bound
+    (6, 4, 10 ** 6),  # a bound above every value
+    (2, 6, 5),        # max_len < chunk_depth: no vectorized level
+])
+def test_scanner_matches_reference(max_len, max_entry, value_bound):
+    fast = sorted(scan_small_anticontinuants(max_len, max_entry, value_bound))
+    slow = sorted(scan_small_anticontinuants_reference(max_len, max_entry, value_bound))
     assert fast == slow
-    assert len(fast) > 0
+    assert len(fast) > 0 or max_entry == 1
 
 
 @pytest.mark.parametrize("chunk", [1, 2, 4, 6])
@@ -39,3 +47,19 @@ def test_scanner_rejects_unsafe_bounds():
         scan_small_anticontinuants(80, 200, 5).__next__()
     with pytest.raises(DomainError):
         next(scan_small_anticontinuants(0, 3, 5))
+
+
+@pytest.mark.parametrize("value_bound", [2 ** 62, 2 ** 63 - 1, 10 ** 30])
+def test_scanner_bounds_beyond_int64(value_bound):
+    fast = list(scan_small_anticontinuants(5, 3, value_bound))
+    assert sorted(fast) == sorted(scan_small_anticontinuants_reference(5, 3, value_bound))
+    assert fast == list(scan_small_anticontinuants(5, 3, 4 ** 5))
+
+
+def test_scanner_validates_at_the_call():
+    with pytest.raises(DomainError):
+        scan_small_anticontinuants(0, 3, 5)
+    with pytest.raises(DomainError):
+        scan_small_anticontinuants(80, 200, 5)
+    with pytest.raises(DomainError):
+        scan_small_anticontinuants(5, 3, 5, chunk_depth=0)
