@@ -4,15 +4,15 @@
 Scans every quotient sequence up to the given length and entry bounds,
 keeps those whose anticontinuant value is small and nonzero, and confirms
 that each one's extended type appears in the enumerated catalog for its
-value.  Exits 1 and prints the offenders if any sequence is missed.
+value (`cfasym.verify_enumeration`).  Exits 1 and prints the offenders if
+any sequence is missed.
 """
 
 import argparse
 import sys
 import time
 
-from cfasym.asymmetry import decompose, enumerate_types, extended_type, type_value
-from cfasym.exhaustive import scan_small_anticontinuants
+from cfasym import verify_enumeration
 
 
 def main() -> int:
@@ -22,31 +22,14 @@ def main() -> int:
     parser.add_argument("--value-bound", type=int, default=8)
     args = parser.parse_args()
 
-    catalogs = {n: enumerate_types(n, "both")
-                for n in range(-args.value_bound, args.value_bound + 1) if n != 0}
     t0 = time.perf_counter()
-    hits = 0
-    seen = set()
-    misses = []
-    for q, value in scan_small_anticontinuants(args.max_len, args.max_entry,
-                                               args.value_bound):
-        hits += 1
-        dec = decompose(q)
-        key = (dec.c, dec.core, dec.sigma, value)
-        if key in seen:
-            continue
-        seen.add(key)
-        if type_value(extended_type(dec)) != value:
-            misses.append((q, value, "formula mismatch"))
-        elif not catalogs[value].contains(dec.c, dec.core, dec.sigma):
-            misses.append((q, value, "missing from catalog"))
-
+    report = verify_enumeration(args.max_len, args.max_entry, args.value_bound)
     print(f"scanned sequences with length <= {args.max_len}, entries <= "
-          f"{args.max_entry}: {hits} hits, {len(seen)} distinct type instances "
-          f"[{time.perf_counter() - t0:.1f}s]")
-    if misses:
-        for q, value, why in misses[:50]:
-            print(f"MISS value={value} seq={q}: {why}", file=sys.stderr)
+          f"{args.max_entry}: {report.hits} hits, {report.types} distinct type "
+          f"instances [{time.perf_counter() - t0:.1f}s]")
+    if not report.ok:
+        for v in report.violations[:50]:
+            print(f"MISS seq={v.expansion}: {v.kind.replace('_', ' ')}", file=sys.stderr)
         return 1
     print("enumeration complete: no misses")
     return 0

@@ -14,7 +14,7 @@ from .continuants import (anticontinuant, anticontinuant_range, continuant,
                           continuant_range, euler_residual, fibonacci)
 from .errors import DomainError, FoldedFormError
 from .verifier import (TableDocument, VerificationReport, build_table,
-                       verify_identities, verify_main_theorem)
+                       verify_enumeration, verify_identities, verify_main_theorem)
 
 __version__ = "0.1.0"
 
@@ -30,5 +30,5 @@ __all__ = [
     "extended_type", "fibonacci", "folded_expand_classify", "folded_normalize",
     "parity_by_inverse", "representations", "satisfies_convention",
     "solve_quadratic", "true_exceptions", "type_value", "validate_pair",
-    "verify_identities", "verify_main_theorem",
+    "verify_enumeration", "verify_identities", "verify_main_theorem",
 ]

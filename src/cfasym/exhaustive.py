@@ -16,8 +16,9 @@ few parents have all their children checked.  A level's hits come from its
 parents' arrays, and its own arrays are built only when a deeper level needs
 them, so the last level, 7/8 of all states, is never materialized.
 
-The levels below the first chunk_depth run vectorized in int64.  That is
-exact because every continuant reached satisfies
+The first _CHUNK_DEPTH = 3 levels run in plain Python, one prefix at a time,
+and the levels below them run vectorized in int64.  That is exact because
+every continuant reached satisfies
 K(q) <= prod(q_i + 1) <= (max_entry + 1)^max_len =: M, and the DomainError
 guard rejects bounds with M >= 2^62 (for the stock bounds 8 and 10, M is
 about 3.5e9).  An anticontinuant is a difference of two such continuants,
@@ -37,25 +38,25 @@ import numpy as np
 from .errors import DomainError
 
 _INT64_GUARD = 2 ** 62
+_CHUNK_DEPTH = 3
 
 
-def scan_small_anticontinuants(max_len: int, max_entry: int, value_bound: int,
-                               chunk_depth: int = 3) -> Iterator[tuple[tuple[int, ...], int]]:
+def scan_small_anticontinuants(max_len: int, max_entry: int,
+                               value_bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
     """Yield (sequence, anticontinuant) for every sequence with 1 <= |value| <= value_bound.
 
     The bounds are checked here, at the call; the scan itself is lazy.
     """
-    if min(max_len, max_entry, value_bound, chunk_depth) < 1:
+    if min(max_len, max_entry, value_bound) < 1:
         raise DomainError("bounds must be positive")
     if (max_entry + 1) ** max_len >= _INT64_GUARD:
         raise DomainError(
             f"bounds (len {max_len}, entry {max_entry}) exceed the exact int64 range")
-    return _scan(max_len, max_entry, min(value_bound, (max_entry + 1) ** max_len),
-                 min(chunk_depth, max_len))
+    return _scan(max_len, max_entry, min(value_bound, (max_entry + 1) ** max_len))
 
 
-def _scan(max_len: int, max_entry: int, bound: int,
-          chunk_depth: int) -> Iterator[tuple[tuple[int, ...], int]]:
+def _scan(max_len: int, max_entry: int, bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    chunk_depth = min(_CHUNK_DEPTH, max_len)
     # short sequences, and the per-prefix scalar states, in plain Python;
     # the Q track is seeded (0, 1) so the first append lands on K(empty) = 1
     def states(depth: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:

@@ -1,14 +1,16 @@
 """Sweep verification of the root/expansion correspondence and table building.
 
-Two sweeps are provided.  `verify_identities` exhaustively rechecks, over all
-coprime pairs up to a bound, the congruence satisfied by both representations,
-the half bound on the selected representation, and the parity predictor, plus
-seeded random checks of the continuant product identity and reversal
-antisymmetry.  `verify_main_theorem` compares, modulus by modulus, the roots
-of x^2 + nx + (-1)^s with the denominators whose selected expansion has
-anticontinuant n and matching length parity; the finitely many certified
-moduli are excluded and reported.  Reports are plain data with stable
-ordering, so equal inputs give byte-identical serializations.
+Three checks are provided.  `verify_identities` exhaustively rechecks, over
+all coprime pairs up to a bound, the congruence satisfied by both
+representations, the half bound on the selected representation, and the
+parity predictor, plus seeded random checks of the continuant product
+identity and reversal antisymmetry.  `verify_main_theorem` compares, modulus
+by modulus, the roots of x^2 + nx + (-1)^s with the denominators whose
+selected expansion has anticontinuant n and matching length parity; the
+finitely many certified moduli are excluded and reported.
+`verify_enumeration` checks the type catalog against every bounded quotient
+sequence with a small nonzero anticontinuant.  Reports are plain data with
+stable ordering, so equal inputs give byte-identical serializations.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass
 from math import gcd
 from typing import ClassVar, Iterator, Literal, Optional
 
-from .asymmetry import decompose, enumerate_types
+from .asymmetry import decompose, enumerate_types, extended_type, type_value
 from .cf import alternate_expansion, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate,
                          exceptional_candidates, solve_quadratic, true_exceptions)
@@ -293,6 +295,54 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
         n=n, s=s, mode=mode, excluded=excluded,
         coarse_counterexamples=tuple(coarse_cex),
         necessary_exclusions=tuple(necessary))
+
+
+@dataclass(frozen=True)
+class EnumerationReport:
+    """Hits and distinct type instances met; violations empty means the check held."""
+
+    hits: int
+    types: int
+    violations: tuple[ViolationRecord, ...]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations
+
+
+def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> EnumerationReport:
+    """Check the type catalog against every bounded sequence with a small value.
+
+    Every quotient sequence with length <= max_len, entries in [1, max_entry]
+    and 1 <= |anticontinuant| <= value_bound is decomposed, and each distinct
+    type instance (c, core, sigma, value) must give its value through the
+    type formula and be listed by `enumerate_types(value)`; otherwise it is
+    a "formula_mismatch" or "missing_from_catalog" violation.  Hits are
+    streamed, not stored, and a catalog is built only for a value that some
+    type instance carries.  Bad bounds raise DomainError before any catalog.
+    """
+    from .exhaustive import scan_small_anticontinuants  # numpy stays out of CLI start-up
+
+    scan = scan_small_anticontinuants(max_len, max_entry, value_bound)
+    catalogs = {}
+    seen = set()
+    violations: list[ViolationRecord] = []
+    hits = 0
+    for q, value in scan:
+        hits += 1
+        dec = decompose(q)
+        key = (dec.c, dec.core, dec.sigma, value)
+        if key in seen:
+            continue
+        seen.add(key)
+        if type_value(extended_type(dec)) != value:
+            violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
+            continue
+        if value not in catalogs:
+            catalogs[value] = enumerate_types(value, "both")
+        if not catalogs[value].contains(dec.c, dec.core, dec.sigma):
+            violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
+    return EnumerationReport(hits, len(seen), tuple(violations))
 
 
 @dataclass(frozen=True)

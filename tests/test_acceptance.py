@@ -12,14 +12,14 @@ from math import gcd
 
 import pytest
 
-from cfasym.asymmetry import decompose, enumerate_types, extended_type, type_value
+from cfasym.asymmetry import decompose, enumerate_types
 from cfasym.cf import expand, expand_with_parity
 from cfasym.congruence import (CongruenceSpec, FoldedParams, candidate_pairs,
                                exceptional_candidates, folded_expand_classify,
                                true_exceptions)
 from cfasym.continuants import anticontinuant, continuant, fibonacci
-from cfasym.exhaustive import scan_small_anticontinuants
-from cfasym.verifier import build_table, verify_identities, verify_main_theorem
+from cfasym.verifier import (build_table, verify_enumeration, verify_identities,
+                             verify_main_theorem)
 
 
 def _report(num, text):
@@ -168,21 +168,11 @@ def test_criterion_07_coarse_counterexample_regression():
 
 
 def test_criterion_08_enumeration_completeness_oracle():
-    catalogs = {n: enumerate_types(n, "both") for n in range(-8, 9) if n != 0}
-    seen = set()
-    hits = 0
-    for q, value in scan_small_anticontinuants(10, 8, 8):
-        hits += 1
-        dec = decompose(q)
-        key = (dec.c, dec.core, dec.sigma, value)
-        if key in seen:
-            continue
-        seen.add(key)
-        assert type_value(extended_type(dec)) == value, (q, value)
-        assert catalogs[value].contains(dec.c, dec.core, dec.sigma), (q, value)
-    assert hits > 100000
-    _report(8, f"every one of {hits} bounded sequences with small value has its "
-               f"type in the catalog ({len(seen)} distinct type instances)")
+    report = verify_enumeration(10, 8, 8)
+    assert report.violations == ()
+    assert (report.hits, report.types) == (609982, 352)
+    _report(8, f"every one of {report.hits} bounded sequences with small value has its "
+               f"type in the catalog ({report.types} distinct type instances)")
 
 
 def test_criterion_09_folded_family_sweep():

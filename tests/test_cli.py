@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,3 +234,13 @@ def test_verify_text_counts_unprinted_violations(capsys, monkeypatch):
     assert code == 3 and len(json.loads(out)["violations"]) == 25
     code, out, _ = run(capsys, "--format", "csv", *argv)
     assert code == 3 and out.count("root_without_type,7,2,3.2\n") == 25
+
+
+def test_cli_import_leaves_out_numpy_and_the_scanner():
+    # only the enumeration oracle needs the scanner, and with it numpy
+    code = ("import sys, cfasym, cfasym.cli; "
+            "print(sorted({'numpy', 'cfasym.exhaustive'} & set(sys.modules)))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)}, check=True)
+    assert done.stdout == "[]\n"

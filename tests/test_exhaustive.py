@@ -8,23 +8,19 @@ from cfasym.exhaustive import (scan_small_anticontinuants,
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound", [
     (6, 4, 6),
-    (4, 5, 7),        # max_len == chunk_depth + 1: only the last level vectorized
+    (4, 5, 7),        # 3 scalar levels, then only the last level vectorized
+    (5, 3, 5),        # two vectorized levels
+    (7, 3, 5),        # four vectorized levels
     (9, 1, 3),        # entries all 1: every sequence is a palindrome, no hits
     (6, 4, 1),        # the smallest bound
     (6, 4, 10 ** 6),  # a bound above every value
-    (2, 6, 5),        # max_len < chunk_depth: no vectorized level
+    (2, 6, 5),        # shorter than the 3 scalar levels: no vectorized level
 ])
 def test_scanner_matches_reference(max_len, max_entry, value_bound):
     fast = sorted(scan_small_anticontinuants(max_len, max_entry, value_bound))
     slow = sorted(scan_small_anticontinuants_reference(max_len, max_entry, value_bound))
     assert fast == slow
     assert len(fast) > 0 or max_entry == 1
-
-
-@pytest.mark.parametrize("chunk", [1, 2, 4, 6])
-def test_scanner_chunking_invariant(chunk):
-    base = sorted(scan_small_anticontinuants(5, 3, 5))
-    assert sorted(scan_small_anticontinuants(5, 3, 5, chunk_depth=chunk)) == base
 
 
 def test_scanner_values_are_true_anticontinuants():
@@ -61,5 +57,3 @@ def test_scanner_validates_at_the_call():
         scan_small_anticontinuants(0, 3, 5)
     with pytest.raises(DomainError):
         scan_small_anticontinuants(80, 200, 5)
-    with pytest.raises(DomainError):
-        scan_small_anticontinuants(5, 3, 5, chunk_depth=0)

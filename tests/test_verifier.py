@@ -3,12 +3,14 @@ from math import gcd
 
 import pytest
 
-from cfasym.asymmetry import decompose, enumerate_types
+from cfasym import verifier
+from cfasym.asymmetry import decompose, enumerate_types, extended_type
 from cfasym.cf import expand
 from cfasym.congruence import CongruenceSpec
 from cfasym.errors import DomainError
-from cfasym.verifier import (_conv_value_parity, build_table, verify_identities,
-                             verify_main_theorem)
+from cfasym.exhaustive import scan_small_anticontinuants_reference
+from cfasym.verifier import (_conv_value_parity, build_table, verify_enumeration,
+                             verify_identities, verify_main_theorem)
 from cfasym.continuants import anticontinuant
 
 
@@ -130,3 +132,45 @@ def test_table_csv_and_text():
 
 def test_build_table_determinism():
     assert build_table(3) == build_table(3)
+
+
+def test_enumeration_small_bounds():
+    report = verify_enumeration(6, 4, 6)
+    assert report.ok
+    assert report.hits == sum(1 for _ in scan_small_anticontinuants_reference(6, 4, 6))
+    assert 0 < report.types < report.hits
+
+
+def test_enumeration_reports_a_planted_miss(planted_miss):
+    report = verify_enumeration(6, 4, 6)
+    assert not report.ok
+    assert [v.kind for v in report.violations] == ["missing_from_catalog"]
+    miss = report.violations[0]
+    assert (miss.alpha, miss.beta) == (None, None)
+    assert extended_type(decompose(miss.expansion)) == planted_miss
+
+
+def _counting_catalogs(monkeypatch):
+    calls = []
+
+    def counting(n, lambda_parity="both"):
+        calls.append(n)
+        return enumerate_types(n, lambda_parity)
+
+    monkeypatch.setattr(verifier, "enumerate_types", counting)
+    return calls
+
+
+def test_enumeration_validates_before_any_catalog(monkeypatch):
+    calls = _counting_catalogs(monkeypatch)
+    with pytest.raises(DomainError):
+        verify_enumeration(0, 8, 8)
+    assert calls == []
+
+
+def test_enumeration_builds_only_the_catalogs_it_reads(monkeypatch):
+    calls = _counting_catalogs(monkeypatch)
+    report = verify_enumeration(3, 2, 80)
+    assert report.ok
+    values = {v for _, v in scan_small_anticontinuants_reference(3, 2, 80)}
+    assert sorted(calls) == sorted(values)
