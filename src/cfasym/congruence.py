@@ -1,14 +1,16 @@
 """Quadratic congruences x^2 + nx + (-1)^s = 0 (mod alpha) and their expansions.
 
-Covers root finding by residue scan, the finite set of moduli where the
-length-parity conclusion can fail, the pairs among those moduli whose
-expansions never reach the target anticontinuant, and the n = +-2 family
-of fractions b*n^2 / (b*a*n - eps) with its three quotient patterns.
+Covers root finding (factor alpha, solve modulo each prime power, combine
+by CRT), the finite set of moduli where the length-parity conclusion can
+fail, the pairs among those moduli whose expansions never reach the target
+anticontinuant, and the n = +-2 family of fractions b*n^2 / (b*a*n - eps)
+with its three quotient patterns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain, cycle
 from math import gcd, isqrt
 from typing import Literal, Optional
 
@@ -18,6 +20,8 @@ from .continuants import anticontinuant
 from .errors import DomainError, FoldedFormError
 
 Condition = Literal["small_alpha", "gamma_condition", "eta_condition"]
+
+ALPHA_MAX = 10**14  # largest modulus solve_quadratic factors (trial division)
 
 
 @dataclass(frozen=True)
@@ -104,14 +108,135 @@ def _require_workable(spec: CongruenceSpec, op: str) -> None:
 
 
 def solve_quadratic(spec: CongruenceSpec, alpha: int) -> list[int]:
-    """All beta in (0, alpha) with beta^2 + n*beta + (-1)^s = 0 (mod alpha).
+    """All beta in (0, alpha) with beta^2 + n*beta + (-1)^s = 0 (mod alpha), sorted.
 
-    Full residue scan; every root is automatically coprime to alpha.
+    Factors alpha by trial division, finds the roots modulo each prime power
+    p^k (`_roots_mod_prime_power`) and combines them by CRT.  Cost
+    O(sqrt(alpha) + #roots * log(alpha)); alpha above ALPHA_MAX is refused so
+    that the factoring stays bounded.  Every root is coprime to alpha.
     """
     if not isinstance(alpha, int) or alpha < 1:
         raise DomainError(f"alpha must be a positive integer, got {alpha!r}")
-    n, e = spec.n, spec.unit
-    return [b for b in range(1, alpha) if (b * b + n * b + e) % alpha == 0]
+    if alpha > ALPHA_MAX:
+        raise DomainError(f"alpha must be at most 10**14, got {alpha}")
+    if alpha == 1:
+        return []
+    roots, modulus = [0], 1
+    for p, k in _factor(alpha):
+        q = p**k
+        local = _roots_mod_prime_power(spec.n, spec.unit, p, k)
+        if not local:
+            return []
+        m_inv = pow(modulus, -1, q)
+        roots = [r + modulus * ((t - r) * m_inv % q) for r in roots for t in local]
+        modulus *= q
+    return sorted(roots)
+
+
+def _factor(v: int) -> list[tuple[int, int]]:
+    """Prime factorization of v >= 1 by trial division over 2, 3 and 6j +- 1."""
+    out = []
+    for d in chain((2, 3), accumulate(cycle((2, 4)), initial=5)):
+        if d * d > v:
+            break
+        if v % d == 0:
+            k = 0
+            while v % d == 0:
+                v //= d
+                k += 1
+            out.append((d, k))
+    if v > 1:
+        out.append((v, 1))
+    return out
+
+
+def _roots_mod_prime_power(n: int, e: int, p: int, k: int) -> list[int]:
+    """Roots of x^2 + n*x + e (mod p^k), e = +-1, via a square root of the discriminant.
+
+    Odd p: y = 2x + n turns the equation into y^2 = n^2 - 4e.  p = 2: odd n
+    leaves x^2 + n*x + e odd, so there is no root; even n gives
+    (x + n/2)^2 = n^2/4 - e.
+    """
+    q = p**k
+    if p == 2:
+        if n % 2:
+            return []
+        half = n // 2
+        return [(y - half) % q for y in _square_roots(half * half - e, 2, k)]
+    inv2 = (q + 1) // 2
+    return [(y - n) * inv2 % q for y in _square_roots(n * n - 4 * e, p, k)]
+
+
+def _square_roots(d: int, p: int, k: int) -> list[int]:
+    """All y in [0, p^k) with y^2 = d (mod p^k), in time linear in their number.
+
+    With d = 0 (mod p^k) the roots are the multiples of p^ceil(k/2).  Otherwise
+    d = p^v * u with u a unit and v < k; a root needs v even and then is
+    p^(v/2) * w, where w runs over the lifts to p^(k - v/2) of the unit roots
+    of w^2 = u (mod p^(k - v)).
+    """
+    q = p**k
+    d %= q
+    if d == 0:
+        step = p ** ((k + 1) // 2)
+        return list(range(0, q, step))
+    v = 0
+    while d % p == 0:
+        d //= p
+        v += 1
+    if v % 2:
+        return []
+    m = k - v
+    units = _unit_square_roots(d, p, m)
+    scale, pm = p ** (v // 2), p**m
+    return [scale * (z + j * pm) for z in units for j in range(scale)]
+
+
+def _unit_square_roots(u: int, p: int, m: int) -> list[int]:
+    """All z in [0, p^m) with z^2 = u (mod p^m), for u prime to p and m >= 1.
+
+    Odd p: Tonelli-Shanks mod p, then Hensel lifting with Newton steps, which
+    double the precision; the roots are +-z.  p = 2: the odd roots mod 2^j
+    are lifted bit by bit, and there are never more than four of them.
+    """
+    if p == 2:
+        roots = [1]
+        for j in range(1, m):
+            mod = 2 << j
+            roots = [y for r in roots for y in (r, r + (1 << j)) if (y * y - u) % mod == 0]
+        return roots
+    z = _sqrt_mod_prime(u % p, p)
+    if z is None:
+        return []
+    prec, pm = 1, p**m
+    while prec < m:
+        prec = min(2 * prec, m)
+        mod = p**prec
+        z = (z - (z * z - u) * pow(2 * z, -1, mod)) % mod
+    return [z, pm - z]
+
+
+def _sqrt_mod_prime(u: int, p: int) -> Optional[int]:
+    """A square root of the unit u modulo the odd prime p (Tonelli-Shanks), or None."""
+    if pow(u, (p - 1) // 2, p) != 1:
+        return None
+    odd, twos = p - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    z = 2
+    while pow(z, (p - 1) // 2, p) == 1:
+        z += 1
+    c, t, r = pow(z, odd, p), pow(u, odd, p), pow(u, (odd + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (twos - i - 1), p)
+        twos, c = i, b * b % p
+        t, r = t * c % p, r * b % p
+    return r
 
 
 def _divisors(v: int) -> set[int]:

@@ -90,6 +90,17 @@ def test_solve(capsys):
     assert code == 0 and out == "3,4\n"
 
 
+def test_solve_large_prime_modulus_finishes():
+    # a residue scan would take 10^9 steps here
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-m", "cfasym.cli", "solve", "--n", "4", "--s", "0",
+         "--alpha", "1000000007"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=20, check=True)
+    assert done.stdout == "82062377,917937626\n"
+
+
 def test_exceptional(capsys):
     code, out, _ = run(capsys, "exceptional", "--n", "3", "--s", "1")
     assert code == 0 and out == "1,2,3,4,5,6,9,12,13\n"

@@ -331,6 +331,9 @@ GOLDEN = [
     Case("--format csv anticont 3,1,1,3", 1,
          "",
          "cfasym: error: csv output is not available for this subcommand\n"),
+    Case("solve --n 4 --s 0 --alpha 100000000000001", 2,
+         "",
+         "cfasym: domain error: alpha must be at most 10**14, got 100000000000001\n"),
     Case("expand 1 1 --parity even", 2,
          "",
          "cfasym: domain error: 1/1 has only the odd-length representation [1]\n"),

@@ -1,10 +1,11 @@
 from math import gcd
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfasym.congruence import (CongruenceSpec, FoldedParams, candidate_pairs,
+from cfasym.congruence import (ALPHA_MAX, CongruenceSpec, FoldedParams, candidate_pairs,
                                exceptional_candidates, folded_expand_classify,
                                folded_normalize, solve_quadratic, true_exceptions)
 from cfasym.errors import DomainError, FoldedFormError
@@ -29,6 +30,8 @@ def test_solve_examples():
     assert solve_quadratic(CongruenceSpec(4, 0), 1) == []
     with pytest.raises(DomainError):
         solve_quadratic(CongruenceSpec(4, 0), 0)
+    with pytest.raises(DomainError):
+        solve_quadratic(CongruenceSpec(4, 0), ALPHA_MAX + 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -37,6 +40,49 @@ def test_solve_matches_brute_scan(n, s, alpha):
     roots = solve_quadratic(CongruenceSpec(n, s), alpha)
     assert roots == brute_roots(n, s, alpha)
     assert all(gcd(alpha, b) == 1 for b in roots)
+
+
+def test_solve_matches_numpy_scan_every_small_modulus():
+    # every alpha <= 5000, |n| <= 8 and both s, including n = 0 and the
+    # Delta = 0 specs (n = +-2, s = 0); int64 is exact: x*(x+n) < 2.6e7
+    ns = np.arange(-8, 9, dtype=np.int64)[:, None]
+    specs = {s: [CongruenceSpec(n, s) for n in range(-8, 9)] for s in (0, 1)}
+    for alpha in range(1, 5001):
+        x = np.arange(1, alpha, dtype=np.int64)
+        rest = x * (x + ns) % alpha  # row i holds n = i - 8, column j holds b = j + 1
+        for s, target in ((0, alpha - 1), (1, 1 % alpha)):
+            hits = np.flatnonzero(rest == target).tolist()
+            expected = [(i // x.size - 8, i % x.size + 1) for i in hits]
+            got = [(sp.n, b) for sp in specs[s] for b in solve_quadratic(sp, alpha)]
+            assert got == expected, (alpha, s)
+
+
+@pytest.mark.parametrize("alpha,n,s", [
+    (2**13, 2 + 2**13, 0), (2**20, 2 + 2**20, 0),  # discriminant 0 mod alpha
+    (2**13, 66, 0), (2**20, 66, 0),  # (x + 33)^2 = 2^6 * 17
+    (2**20, 0, 1),
+    (3**8, 2 + 3**8, 0), (3**12, 2 + 3**12, 0),
+    (3**8, 11, 0), (3**12, 11, 0),  # discriminant 3^2 * 13
+    (3**12, 0, 1),
+    (5**6, 2 + 5**6, 0), (5**8, 2 + 5**8, 0),
+    (5**6, 39, 1), (5**8, 39, 1),  # discriminant 5^2 * 61
+    (2**5 * 3**3 * 5**2 * 7, 0, 1), (2**5 * 3**3 * 5**2 * 7, 2, 0),
+    (2**5 * 3**3 * 5**2 * 7, 110, 0), (2**5 * 3**3 * 5**2 * 7, -264, 1),
+    (3**2 * 5 * 7 * 11 * 13, 128, 0), (3**2 * 5 * 7 * 11 * 13, -173, 0),
+    (2**3 * 3**2 * 7**2 * 11, 394, 0), (2**3 * 3**2 * 7**2 * 11, -218, 0),
+])
+def test_solve_matches_brute_scan_at_prime_powers(alpha, n, s):
+    roots = solve_quadratic(CongruenceSpec(n, s), alpha)
+    assert roots and roots == brute_roots(n, s, alpha)
+
+
+def test_solve_many_roots_at_a_large_cube():
+    # Delta = 0 (mod p^3): the roots are -1 + p^2 * t, one per t mod p
+    p = 40009
+    alpha = p**3
+    roots = solve_quadratic(CongruenceSpec(2 + alpha, 0), alpha)
+    assert len(roots) == p and roots == sorted(set(roots))
+    assert all(0 < b < alpha and (b * b + (2 + alpha) * b + 1) % alpha == 0 for b in roots)
 
 
 def test_exceptional_candidates_examples():
