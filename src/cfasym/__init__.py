@@ -4,8 +4,7 @@ from .asymmetry import (AsymmetryDecomposition, ExtendedAsymmetryType,
                         ParametricFamily, TypeCatalog, compose, decompose,
                         enumerate_types, extended_type, type_value)
 from .cf import (ParityPrediction, alternate_expansion, evaluate, expand,
-                 expand_with_parity, parity_by_inverse, representations,
-                 satisfies_convention, validate_pair)
+                 expand_with_parity, parity_by_inverse, representations)
 from .congruence import (CongruenceSpec, ExceptionalCertificate, FoldedForm,
                          FoldedParams, candidate_pairs, exceptional_candidates,
                          folded_expand_classify, folded_normalize, solve_quadratic,
@@ -28,7 +27,7 @@ __all__ = [
     "continuant_range", "decompose", "enumerate_types", "euler_residual",
     "evaluate", "exceptional_candidates", "expand", "expand_with_parity",
     "extended_type", "fibonacci", "folded_expand_classify", "folded_normalize",
-    "parity_by_inverse", "representations", "satisfies_convention",
-    "solve_quadratic", "true_exceptions", "type_value", "validate_pair",
+    "parity_by_inverse", "representations", "solve_quadratic",
+    "true_exceptions", "type_value",
     "verify_enumeration", "verify_identities", "verify_main_theorem",
 ]

@@ -76,12 +76,6 @@ class ParametricFamily:
             return False
         return all(p is None or p == e for p, e in zip(self.pattern, core))
 
-    def instantiate(self, p: int) -> ExtendedAsymmetryType:
-        if p < 1:
-            raise DomainError(f"family parameter must be >= 1, got {p}")
-        core = tuple(p if e is None else e for e in self.pattern)
-        return ExtendedAsymmetryType(self.c, core, self.sigma)
-
     def display_core(self) -> str:
         return ",".join("p" if e is None else str(e) for e in self.pattern)
 
@@ -119,9 +113,6 @@ class TypeCatalog:
     def coarse_families(self) -> tuple[ParametricFamily, ...]:
         return tuple(sorted((f for f in self.families if f.sigma == "even"),
                             key=ParametricFamily.sort_key))
-
-    def coarse_contains(self, c: int, core: tuple[int, ...]) -> bool:
-        return self.contains(c, core, "even")
 
 
 def decompose(q) -> AsymmetryDecomposition:

@@ -32,8 +32,13 @@ class ParityPrediction:
     predicted_parity: Parity
 
 
-def validate_pair(alpha: int, beta: int) -> None:
-    """Check the coprime-pair contract: 1 <= beta <= alpha, gcd 1, beta = alpha only for (1, 1)."""
+def expand(alpha: int, beta: int) -> tuple[int, ...]:
+    """Quotient sequence of alpha/beta under the end-coefficient selection rule.
+
+    Runs the Euclidean algorithm, then, when exactly one of the two end
+    entries equals 1, replaces the final quotient q >= 2 by (q - 1, 1) so
+    that the first and last entries are both 1 or both >= 2.
+    """
     if not isinstance(alpha, int) or not isinstance(beta, int):
         raise DomainError(f"pair must be integers, got ({alpha!r}, {beta!r})")
     if alpha < 1 or beta < 1 or beta > alpha:
@@ -42,16 +47,6 @@ def validate_pair(alpha: int, beta: int) -> None:
         raise DomainError(f"pair ({alpha}, {beta}) is not coprime")
     if beta == alpha and alpha != 1:
         raise DomainError(f"beta = alpha only allowed for (1, 1), got ({alpha}, {beta})")
-
-
-def expand(alpha: int, beta: int) -> tuple[int, ...]:
-    """Quotient sequence of alpha/beta under the end-coefficient selection rule.
-
-    Runs the Euclidean algorithm, then, when exactly one of the two end
-    entries equals 1, replaces the final quotient q >= 2 by (q - 1, 1) so
-    that the first and last entries are both 1 or both >= 2.
-    """
-    validate_pair(alpha, beta)
     a, b = alpha, beta
     qs = []
     while b:
@@ -108,13 +103,6 @@ def evaluate(q) -> tuple[int, int]:
     alpha = _continuant(q, 0, len(q) - 1)
     beta = _continuant(q, 1, len(q) - 1)
     return alpha, beta
-
-
-def satisfies_convention(q) -> bool:
-    """True when the first entry is 1 exactly if the last entry is 1."""
-    if not q:
-        raise DomainError("empty sequence")
-    return (q[0] == 1) == (q[-1] == 1)
 
 
 def parity_by_inverse(u: int, v: int) -> ParityPrediction:

@@ -50,11 +50,6 @@ class _Result:
     exit_code: int = 0
 
 
-def _render_csv(columns, rows) -> str:
-    # the only CSV writer; cells never contain commas (cores use '.' separators)
-    return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
-
-
 def _scalar(key: str, value: int) -> _Result:
     return _Result(str(value), {key: value})
 
@@ -78,9 +73,14 @@ def _cmd_expand(args) -> _Result:
 def _cmd_continuant(args) -> _Result:
     if args.fib is not None:
         return _scalar("fibonacci", continuants.fibonacci(args.fib))
+    if args.sequence is None:
+        raise DomainError("continuant needs a SEQUENCE or --fib")
     q = _parse_sequence(args.sequence)
     if args.euler is not None:
-        k, l, m, n = (int(t) for t in args.euler.split(","))
+        indices = _parse_sequence(args.euler)
+        if len(indices) != 4:
+            raise DomainError(f"--euler needs four indices K,L,M,N, got {args.euler!r}")
+        k, l, m, n = indices
         return _scalar("euler_residual", continuants.euler_residual(q, k, l, m, n))
     j = len(q) - 1 if args.j is None else args.j
     return _scalar("continuant", continuants.continuant_range(q, args.i, j))
@@ -133,7 +133,7 @@ def _cmd_enumerate(args) -> _Result:
              for c, core, *rest in found]
     return _Result("\n".join(" ; ".join(map(str, r)) for r in cells),
                    {"target": args.n, key: [dict(zip(columns, r)) for r in found]},
-                   (columns, [(c, core.replace(",", "."), *rest) for c, core, *rest in cells]))
+                   (columns, cells))
 
 
 def _cmd_solve(args) -> _Result:
@@ -196,8 +196,7 @@ def _cmd_verify(args) -> _Result:
     for c in report.coarse_counterexamples:
         lines.append(f"  coarse {c.direction}: alpha={c.alpha} beta={c.beta} "
                      f"type=({c.marginal};{_seq_str(c.core)})")
-    rows = [(v.kind, v.alpha, v.beta, _seq_str(v.expansion or ()).replace(",", "."))
-            for v in violations]
+    rows = [(v.kind, v.alpha, v.beta, _seq_str(v.expansion or ())) for v in violations]
     return _Result("\n".join(lines), report.to_dict(),
                    (("kind", "alpha", "beta", "expansion"), rows),
                    VIOLATION_EXIT if violations else 0)
@@ -327,7 +326,7 @@ def main(argv=None) -> int:
             print("cfasym: error: csv output is not available for this subcommand",
                   file=sys.stderr)
             return USAGE_EXIT
-        sys.stdout.write(_render_csv(*result.table))
+        sys.stdout.write(verifier.render_csv(*result.table))
     else:
         print(result.text)
     return result.exit_code

@@ -90,9 +90,6 @@ class ViolationRecord:
     expansion: Optional[tuple[int, ...]]
     kind: str
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "expansion": list(self.expansion) if self.expansion else None}
-
 
 @dataclass(frozen=True)
 class CoarseCounterexample:
@@ -101,9 +98,6 @@ class CoarseCounterexample:
     marginal: int
     core: tuple[int, ...]
     direction: str
-
-    def to_dict(self) -> dict:
-        return {**asdict(self), "core": list(self.core)}
 
 
 @dataclass(frozen=True)
@@ -141,27 +135,16 @@ class VerificationReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "alpha_min": self.alpha_min,
-            "alpha_max": self.alpha_max,
-            "checked": self.checked,
-            "matches": self.matches,
-            "violations": [v.to_dict() for v in self.violations],
-            "ok": self.ok,
-        }
+        """The fields of this report's kind plus `ok`; tuples serialize as JSON arrays."""
         if self.kind == "main_theorem":
-            out.update({
-                "n": self.n,
-                "s": self.s,
-                "mode": self.mode,
-                "excluded": [e.to_dict() for e in self.excluded],
-                "coarse_counterexamples": [c.to_dict() for c in self.coarse_counterexamples],
-                "necessary_exclusions": list(self.necessary_exclusions),
-            })
+            other = ("trials", "seed")
         else:
-            out.update({"trials": self.trials, "seed": self.seed})
-        return out
+            other = ("n", "s", "mode", "excluded", "coarse_counterexamples",
+                     "necessary_exclusions")
+        out = {k: v for k, v in asdict(self).items() if k not in other}
+        if "excluded" in out:  # without the modulus that each certificate repeats
+            out["excluded"] = [e.to_dict() for e in self.excluded]
+        return {**out, "ok": self.ok}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
@@ -178,6 +161,8 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
     """
     if not isinstance(max_alpha, int) or max_alpha < 2:
         raise DomainError(f"max_alpha must be an integer >= 2, got {max_alpha!r}")
+    if not isinstance(trials, int) or trials < 0:
+        raise DomainError(f"trials must be a non-negative integer, got {trials!r}")
     violations: list[ViolationRecord] = []
     checked = 0
     for alpha in range(2, max_alpha + 1):
@@ -186,8 +171,7 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
                 continue
             checked += 1
             conv = expand(alpha, beta)
-            reps = (conv,) if conv == (1,) else (conv, alternate_expansion(conv))
-            for q in reps:
+            for q in (conv, alternate_expansion(conv)):
                 a_val = anticontinuant(q)
                 unit = -1 if len(q) % 2 else 1
                 if (beta * beta + a_val * beta + unit) % alpha != 0:
@@ -278,7 +262,7 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
                 if dec.c == 0:
                     continue
                 coarse_of[beta] = (dec.c, dec.core)
-                if catalog.coarse_contains(dec.c, dec.core):
+                if catalog.contains(dec.c, dec.core, "even"):
                     listed.add(beta)
             for beta in sorted(roots - listed):
                 c, core = coarse_of.get(beta, (0, ()))
@@ -352,11 +336,6 @@ class TableEntry:
     marginal: int
     core: str
 
-    def sort_key(self):
-        lam = 0 if not self.core else self.core.count(",") + 1
-        lex = tuple(0 if t == "p" else int(t) for t in self.core.split(",")) if self.core else ()
-        return (lam, self.marginal, lex)
-
 
 @dataclass(frozen=True)
 class TableRow:
@@ -375,16 +354,14 @@ class TableDocument:
     columns: ClassVar[tuple[str, ...]] = ("value", "parity", "marginal", "core", "exceptions")
 
     def csv_rows(self) -> Iterator[tuple]:
-        """Cells under `columns`: cores use '.' separators and exception pairs 'a:b'."""
+        """Cells under `columns`; exception pairs are written 'a:b'."""
         for row in self.rows:
             exc = " ".join(f"{a}:{b}" for a, b in row.exceptions)
             for k, entry in enumerate(row.entries):
-                yield (row.value, row.parity, entry.marginal,
-                       entry.core.replace(",", "."), "" if k else exc)
+                yield (row.value, row.parity, entry.marginal, entry.core, "" if k else exc)
 
     def to_csv(self) -> str:
-        from .cli import _render_csv  # late import: the CLI imports this module
-        return _render_csv(self.columns, self.csv_rows())
+        return render_csv(self.columns, self.csv_rows())
 
     def to_text(self) -> str:
         lines = []
@@ -394,6 +371,12 @@ class TableDocument:
             for entry in row.entries:
                 lines.append(f"    {entry.marginal} ; {entry.core}")
         return "\n".join(lines) + "\n"
+
+
+def render_csv(columns, rows) -> str:
+    """The one CSV writer: a header line, then one line per row; a comma in a cell becomes '.'."""
+    return "".join(",".join(str(cell).replace(",", ".") for cell in row) + "\n"
+                   for row in (columns, *rows))
 
 
 def build_table(n_max: int) -> TableDocument:
@@ -411,11 +394,12 @@ def build_table(n_max: int) -> TableDocument:
     for value in range(1, n_max + 1):
         for parity_bit, parity in ((0, "even"), (1, "odd")):
             catalog = enumerate_types(value, parity)
-            entries = [TableEntry(c, ",".join(map(str, core)))
-                       for c, core in catalog.coarse_pairs()]
-            entries += [TableEntry(f.c, f.display_core())
-                        for f in catalog.coarse_families()]
-            entries.sort(key=TableEntry.sort_key)
+            # sort on (core length, marginal, entries), a family's slot counting as 0
+            keyed = [((len(core), c, core), c, ",".join(map(str, core)))
+                     for c, core in catalog.coarse_pairs()]
+            keyed += [(f.sort_key(), f.c, f.display_core())
+                      for f in catalog.coarse_families()]
+            entries = [TableEntry(c, core) for _, c, core in sorted(keyed)]
             if value == 2 and parity_bit == 0:
                 exceptions: tuple[tuple[int, int], ...] = ()
             else:

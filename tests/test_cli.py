@@ -174,6 +174,22 @@ def test_violation_exit_3(capsys, monkeypatch):
     assert code == 3 and "violations=1" in out
 
 
+@pytest.mark.parametrize("argv", [
+    "continuant",
+    "continuant 1,2,3 --euler 1,2",
+    "continuant 1,2,3 --euler a,b,c,d",
+    "verify identities --alpha-max 5 --trials -3",
+    "expand 7",
+    "enumerate --n 0",
+    "type 0",
+    "anticont",
+])
+def test_main_reports_bad_input_without_raising(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code in (1, 2) and out == ""
+    assert err.startswith(("cfasym", "usage:"))
+
+
 def test_env_format_default(capsys, monkeypatch):
     monkeypatch.setenv("CFASYM_FORMAT", "json")
     code, out, _ = run(capsys, "expand", "25", "7")

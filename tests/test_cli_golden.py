@@ -337,6 +337,18 @@ GOLDEN = [
     Case("expand 1 1 --parity even", 2,
          "",
          "cfasym: domain error: 1/1 has only the odd-length representation [1]\n"),
+    Case("continuant", 2,
+         "",
+         "cfasym: domain error: continuant needs a SEQUENCE or --fib\n"),
+    Case("continuant 1,2,3 --euler 1,2", 2,
+         "",
+         "cfasym: domain error: --euler needs four indices K,L,M,N, got '1,2'\n"),
+    Case("continuant 1,2,3 --euler a,b,c,d", 2,
+         "",
+         "cfasym: domain error: expected comma-separated integers, got 'a,b,c,d'\n"),
+    Case("verify identities --alpha-max 5 --trials -3", 2,
+         "",
+         "cfasym: domain error: trials must be a non-negative integer, got -3\n"),
 ]
 
 

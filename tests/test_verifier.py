@@ -40,6 +40,12 @@ def test_identities_minimal_sweep():
         verify_identities(1)
 
 
+@pytest.mark.parametrize("trials", [-3, 2.5, "10"])
+def test_identities_rejects_bad_trials(trials):
+    with pytest.raises(DomainError, match="trials"):
+        verify_identities(5, trials=trials)
+
+
 def test_identities_determinism():
     a = verify_identities(50, trials=400, seed=3)
     b = verify_identities(50, trials=400, seed=3)
@@ -106,6 +112,29 @@ def test_report_json_round_trip():
     excluded = {e["modulus"] for e in data["excluded"]}
     assert excluded == {1, 2, 3, 4, 5, 6, 7, 8, 11, 12}
     assert all(e["certificates"] for e in data["excluded"])
+
+
+def test_report_json_keeps_only_its_kinds_fields():
+    violation = verifier.ViolationRecord(7, 2, (3, 2), "root_without_type")
+    cex = verifier.CoarseCounterexample(7, 2, 1, (1, 2), "root_without_listed_type")
+    main = verifier.VerificationReport(
+        kind="main_theorem", alpha_min=2, alpha_max=9, checked=3, matches=2,
+        violations=(violation,), n=1, s=0, mode="coarse",
+        coarse_counterexamples=(cex,), necessary_exclusions=(3,))
+    assert json.loads(main.to_json()) == {
+        "kind": "main_theorem", "alpha_min": 2, "alpha_max": 9, "checked": 3,
+        "matches": 2, "ok": False, "n": 1, "s": 0, "mode": "coarse", "excluded": [],
+        "violations": [{"alpha": 7, "beta": 2, "expansion": [3, 2],
+                        "kind": "root_without_type"}],
+        "coarse_counterexamples": [{"alpha": 7, "beta": 2, "marginal": 1, "core": [1, 2],
+                                    "direction": "root_without_listed_type"}],
+        "necessary_exclusions": [3]}
+    identities = verifier.VerificationReport(
+        kind="identities", alpha_min=2, alpha_max=9, checked=3, matches=3,
+        violations=(), trials=4, seed=5)
+    assert json.loads(identities.to_json()) == {
+        "kind": "identities", "alpha_min": 2, "alpha_max": 9, "checked": 3,
+        "matches": 3, "ok": True, "violations": [], "trials": 4, "seed": 5}
 
 
 def test_build_table_small():
