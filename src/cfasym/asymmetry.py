@@ -28,6 +28,8 @@ from .errors import DomainError
 Sigma = Literal["even", "odd"]
 LambdaParity = Literal["even", "odd", "both"]
 
+TARGET_MAX = 128  # largest |n| enumerate_types lists (about half a second)
+
 _SIGMA_ORDER = {"even": 0, "odd": 1}
 
 
@@ -219,12 +221,15 @@ def enumerate_types(n: int, lambda_parity: LambdaParity = "both") -> TypeCatalog
     marginal, and outside the value-2 parametric families every core entry
     divides into a positively weighted term of the value, so entries are
     capped by |n|.  Value 0 signals the symmetric class, which is infinite,
-    and is rejected.
+    and is rejected, and so is |n| > TARGET_MAX, where the search time,
+    about quadratic in |n|, passes half a second.
     """
     if not isinstance(n, int):
         raise DomainError(f"target must be an integer, got {n!r}")
     if n == 0:
         raise DomainError("value 0 holds exactly for symmetric sequences; not enumerable")
+    if abs(n) > TARGET_MAX:
+        raise DomainError(f"target must be at most {TARGET_MAX} in absolute value, got {n}")
     if lambda_parity not in ("even", "odd", "both"):
         raise DomainError(f"lambda_parity must be even, odd, or both, got {lambda_parity!r}")
 

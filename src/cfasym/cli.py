@@ -93,15 +93,30 @@ def _cmd_anticont(args) -> _Result:
 
 
 def _cmd_type(args) -> _Result:
+    # three uses: value a type from --marginal, --core and --sigma; compose one
+    # from --marginal, --core, --pivot and --outer, whose length fixes sigma;
+    # decompose a SEQUENCE.  A flag that the chosen use would not read is an
+    # error, not silently dropped.
     if args.marginal is not None:
+        if args.sequence is not None:
+            raise DomainError("a SEQUENCE does not apply with --marginal")
         core = _parse_sequence(args.core) if args.core else ()
-        if args.pivot is None and args.sequence is None:
+        if args.pivot is None:
+            if args.outer:
+                raise DomainError("--outer needs --pivot")
             t = asymmetry.ExtendedAsymmetryType(args.marginal, core, args.sigma or "even")
             return _scalar("value", asymmetry.type_value(t))
+        if args.sigma is not None:
+            raise DomainError("--sigma does not apply with --pivot: "
+                              "the length of --outer fixes it")
         outer = _parse_sequence(args.outer) if args.outer else ()
         q = asymmetry.compose(asymmetry.AsymmetryDecomposition(
             depth=len(outer), c=args.marginal, core=core, pivot=args.pivot, outer=outer))
         return _Result(_seq_str(q), {"quotients": list(q)})
+    for flag, value in (("--core", args.core), ("--sigma", args.sigma),
+                        ("--pivot", args.pivot), ("--outer", args.outer)):
+        if value not in (None, ""):
+            raise DomainError(f"{flag} needs --marginal")
     if args.sequence is None:
         raise DomainError("type needs a SEQUENCE, or --marginal/--core/--sigma, "
                           "or --marginal/--core/--pivot/--outer")
@@ -179,25 +194,30 @@ def _cmd_folded(args) -> _Result:
 
 
 def _cmd_verify(args) -> _Result:
-    if args.suite == "identities":
-        report = verifier.verify_identities(args.alpha_max, trials=args.trials,
-                                            seed=args.seed)
+    if args.suite == "enumeration":
+        report = verifier.verify_enumeration(args.max_len, args.max_entry, args.value_bound)
+        head, payload = (f"hits={report.hits} types={report.types}",
+                         {**asdict(report), "ok": report.ok})
     else:
-        spec = congruence.CongruenceSpec(args.n, args.s)
-        report = verifier.verify_main_theorem(spec, args.alpha_max, mode=args.mode)
+        if args.suite == "identities":
+            report = verifier.verify_identities(args.alpha_max, trials=args.trials,
+                                                seed=args.seed)
+        else:
+            spec = congruence.CongruenceSpec(args.n, args.s)
+            report = verifier.verify_main_theorem(spec, args.alpha_max, mode=args.mode)
+        head, payload = f"checked={report.checked} matches={report.matches}", report.to_dict()
     violations = report.violations
-    lines = [f"checked={report.checked} matches={report.matches} "
-             f"violations={len(violations)}"]
+    lines = [f"{head} violations={len(violations)}"]
     for v in violations[:_SHOWN_VIOLATIONS]:
         lines.append(f"  violation {v.kind}: alpha={v.alpha} beta={v.beta} "
                      f"expansion={_seq_str(v.expansion) if v.expansion else '-'}")
     if len(violations) > _SHOWN_VIOLATIONS:
         lines.append(f"  ... and {len(violations) - _SHOWN_VIOLATIONS} more")
-    for c in report.coarse_counterexamples:
+    for c in getattr(report, "coarse_counterexamples", ()):
         lines.append(f"  coarse {c.direction}: alpha={c.alpha} beta={c.beta} "
                      f"type=({c.marginal};{_seq_str(c.core)})")
     rows = [(v.kind, v.alpha, v.beta, _seq_str(v.expansion or ())) for v in violations]
-    return _Result("\n".join(lines), report.to_dict(),
+    return _Result("\n".join(lines), payload,
                    (("kind", "alpha", "beta", "expansion"), rows),
                    VIOLATION_EXIT if violations else 0)
 
@@ -293,6 +313,10 @@ def build_parser() -> _Parser:
     pm.add_argument("--s", type=int, choices=(0, 1), required=True)
     pm.add_argument("--alpha-max", type=int, default=2000)
     pm.add_argument("--mode", choices=("refined", "coarse"), default="refined")
+    pe = vsub.add_parser("enumeration", help="type catalog versus every bounded sequence")
+    pe.add_argument("--max-len", type=int, default=10)
+    pe.add_argument("--max-entry", type=int, default=8)
+    pe.add_argument("--value-bound", type=int, default=8)
 
     p = sub.add_parser("table", help="types and true exceptions for values 1..n_max")
     p.add_argument("--n-max", type=int, default=6)

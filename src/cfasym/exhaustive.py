@@ -10,11 +10,15 @@ entries, so Q >= 1 (the Q track is seeded so that the empty run gives 1),
 and the value falls strictly as e grows.  For the bound B the hits below a
 parent are therefore the e != D/Q in
 [max(1, ceil((D - B)/Q)), min(max_entry, floor((D + B)/Q))], and one floor
-division per parent finds the parents that have any: the largest admissible
-e, clip(floor((D + B)/Q), 1, max_entry), is a hit or no e is.  Only those
-few parents have all their children checked.  A level's hits come from its
-parents' arrays, and its own arrays are built only when a deeper level needs
-them, so the last level, 7/8 of all states, is never materialized.
+division per parent finds the parents that may have any: the largest
+admissible e, clip(floor((D + B)/Q), 1, max_entry), has |value| <= B or no
+e has (a candidate whose only such child has value 0 has no hit).  Only
+those few parents have all their children checked.  A level's hits come
+from its parents' arrays, and its own arrays are built only when a deeper
+level needs them, so the last level, 7/8 of all states, is never
+materialized.  The hits leave `_scan_batches` as int64 digit arrays, one per
+prefix and length, so a caller can work on them in numpy;
+`scan_small_anticontinuants` flattens them to tuples in the same order.
 
 The first _CHUNK_DEPTH = 3 levels run in plain Python, one prefix at a time,
 and the levels below them run vectorized in int64.  That is exact because
@@ -47,15 +51,32 @@ def scan_small_anticontinuants(max_len: int, max_entry: int,
 
     The bounds are checked here, at the call; the scan itself is lazy.
     """
+    return _scan(max_len, max_entry, _checked_bound(max_len, max_entry, value_bound))
+
+
+def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:
+    """The value bound clamped to the int64-safe range; DomainError on bad bounds."""
     if min(max_len, max_entry, value_bound) < 1:
         raise DomainError("bounds must be positive")
     if (max_entry + 1) ** max_len >= _INT64_GUARD:
         raise DomainError(
             f"bounds (len {max_len}, entry {max_entry}) exceed the exact int64 range")
-    return _scan(max_len, max_entry, min(value_bound, (max_entry + 1) ** max_len))
+    return min(value_bound, (max_entry + 1) ** max_len)
 
 
 def _scan(max_len: int, max_entry: int, bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
+    for rows, values in _scan_batches(max_len, max_entry, bound):
+        yield from zip(map(tuple, rows.tolist()), values.tolist())
+
+
+def _scan_batches(max_len: int, max_entry: int,
+                  bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The hits in scan order, one batch per prefix and length.
+
+    A batch is an int64 array `rows` of k sequences of one length (k x L)
+    and their anticontinuants `values`; `bound` must come from
+    `_checked_bound`.
+    """
     chunk_depth = min(_CHUNK_DEPTH, max_len)
     # short sequences, and the per-prefix scalar states, in plain Python;
     # the Q track is seeded (0, 1) so the first append lands on K(empty) = 1
@@ -87,7 +108,7 @@ def _scan(max_len: int, max_entry: int, bound: int) -> Iterator[tuple[tuple[int,
     for prefix, p, pp, qq, qp in states(chunk_depth):
         value = pp - qq
         if 1 <= abs(value) <= bound:
-            yield prefix, value
+            yield np.array([prefix], dtype=np.int64), np.array([value], dtype=np.int64)
         if len(prefix) < chunk_depth or levels == 0:
             continue
         Ps[0][0], Ps[1][0], Qs[0][0], Qs[1][0] = pp, p, qp, qq
@@ -109,10 +130,12 @@ def _scan(max_len: int, max_entry: int, bound: int) -> Iterator[tuple[tuple[int,
                 D = P[cand] - Qprev[cand % Qprev.size]
                 values = D - entries.reshape(-1, 1) * Q[cand]
                 rows, cols = np.nonzero((values != 0) & (np.abs(values) <= bound))
-                flat = rows * P.size + cand[cols]
-                digits = (flat[:, None] // places[:j]) % max_entry + 1
-                for row, v in zip(digits.tolist(), values[rows, cols].tolist()):
-                    yield prefix + tuple(row), v
+                if rows.size:  # a candidate's one child in range may have value 0
+                    flat = rows * P.size + cand[cols]
+                    hits = np.empty((flat.size, chunk_depth + j), dtype=np.int64)
+                    hits[:, :chunk_depth] = prefix
+                    hits[:, chunk_depth:] = (flat[:, None] // places[:j]) % max_entry + 1
+                    yield hits, values[rows, cols]
             if j < levels:
                 for new, cur, prev in ((Ps[j + 1], P, Pprev), (Qs[j + 1], Q, Qprev)):
                     child = new.reshape(max_entry, -1, prev.size)

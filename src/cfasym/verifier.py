@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 from math import gcd
 from typing import ClassVar, Iterator, Literal, Optional
 
-from .asymmetry import decompose, enumerate_types, extended_type, type_value
+from .asymmetry import TARGET_MAX, decompose, enumerate_types, extended_type, type_value
 from .cf import alternate_expansion, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate,
                          exceptional_candidates, solve_quadratic, true_exceptions)
@@ -298,35 +298,79 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     """Check the type catalog against every bounded sequence with a small value.
 
     Every quotient sequence with length <= max_len, entries in [1, max_entry]
-    and 1 <= |anticontinuant| <= value_bound is decomposed, and each distinct
-    type instance (c, core, sigma, value) must give its value through the
-    type formula and be listed by `enumerate_types(value)`; otherwise it is
-    a "formula_mismatch" or "missing_from_catalog" violation.  Hits are
-    streamed, not stored, and a catalog is built only for a value that some
-    type instance carries.  Bad bounds raise DomainError before any catalog.
+    and 1 <= |anticontinuant| <= value_bound is met, and each distinct type
+    instance (c, core, sigma, value) must give its value through the type
+    formula and be listed by `enumerate_types(value)`; otherwise it is a
+    "formula_mismatch" or "missing_from_catalog" violation.  Hits come in
+    batches whose type keys are computed in numpy (`_type_keys`), so only
+    the first hit of each instance is decomposed, and a catalog is built
+    only for a value that some type instance carries.  Bad bounds raise
+    DomainError before any catalog, and so does a bound that could reach a
+    value beyond TARGET_MAX, whose catalog `enumerate_types` refuses.
     """
-    from .exhaustive import scan_small_anticontinuants  # numpy stays out of CLI start-up
+    # numpy and the scanner stay out of CLI start-up
+    import numpy as np
 
-    scan = scan_small_anticontinuants(max_len, max_entry, value_bound)
+    from .exhaustive import _checked_bound, _scan_batches
+
+    bound = _checked_bound(max_len, max_entry, value_bound)
+    if bound > TARGET_MAX:
+        raise DomainError(f"value_bound must be at most {TARGET_MAX}, got {value_bound}")
+    batches = _scan_batches(max_len, max_entry, bound)
     catalogs = {}
     seen = set()
     violations: list[ViolationRecord] = []
     hits = 0
-    for q, value in scan:
-        hits += 1
-        dec = decompose(q)
-        key = (dec.c, dec.core, dec.sigma, value)
-        if key in seen:
-            continue
-        seen.add(key)
-        if type_value(extended_type(dec)) != value:
-            violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
-            continue
-        if value not in catalogs:
-            catalogs[value] = enumerate_types(value, "both")
-        if not catalogs[value].contains(dec.c, dec.core, dec.sigma):
-            violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
+    for rows, values in batches:
+        hits += values.size
+        keys = _type_keys(rows, values, max_entry + 1)
+        # the first row of each distinct key: lexsort is stable, so a run of
+        # equal keys starts at its earliest row
+        order = np.lexsort(keys.T)
+        ordered = keys[order]
+        starts = np.ones(order.size, dtype=bool)
+        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+        firsts = np.sort(order[starts])
+        for i, key in zip(firsts.tolist(), map(tuple, keys[firsts].tolist())):
+            if key in seen:
+                continue
+            seen.add(key)
+            q = tuple(rows[i].tolist())
+            value = key[-1]
+            dec = decompose(q)
+            if type_value(extended_type(dec)) != value:
+                violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
+                continue
+            if value not in catalogs:
+                catalogs[value] = enumerate_types(value, "both")
+            if not catalogs[value].contains(dec.c, dec.core, dec.sigma):
+                violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
     return EnumerationReport(hits, len(seen), tuple(violations))
+
+
+def _type_keys(rows, values, base: int):
+    """Rows (c, packed core, sigma, value) for a batch of asymmetric sequences of one length.
+
+    This is `decompose` in numpy: the depth d is each row's first mismatch
+    with its reverse, c = (q[d] - q[L-1-d]) * (-1)^d, sigma = d % 2, and the
+    core q[d+1 : L-1-d] is read as a number in `base` > every entry, first
+    entry most significant.  Entries are at least 1, so the number also fixes
+    the core's length, and it is below base^L, which the scanner's guard
+    keeps under 2^62.
+    """
+    import numpy as np
+
+    k, length = rows.shape
+    d = np.argmax(rows != rows[:, ::-1], axis=1)
+    at = np.arange(k)
+    c = (rows[at, d] - rows[at, length - 1 - d]) * (1 - 2 * (d % 2))
+    # entry i of the core weighs base^(L-2-d-i); entries outside it weigh 0
+    cols = np.arange(length)
+    exponents = (length - 2 - d)[:, None] - cols
+    inside = (exponents >= 0) & (cols > d[:, None])
+    weights = np.where(inside, base ** np.maximum(exponents, 0), 0)
+    packed = (rows * weights).sum(axis=1)
+    return np.stack([c, packed, d % 2, values], axis=1)
 
 
 @dataclass(frozen=True)
@@ -390,6 +434,8 @@ def build_table(n_max: int) -> TableDocument:
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    if n_max > TARGET_MAX:
+        raise DomainError(f"n_max must be at most {TARGET_MAX}, got {n_max}")
     rows = []
     for value in range(1, n_max + 1):
         for parity_bit, parity in ((0, "even"), (1, "odd")):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfasym.asymmetry import (AsymmetryDecomposition, ExtendedAsymmetryType,
+from cfasym.asymmetry import (TARGET_MAX, AsymmetryDecomposition, ExtendedAsymmetryType,
                               compose, decompose, enumerate_types, extended_type,
                               type_value)
 from cfasym.continuants import anticontinuant, continuant, fibonacci
@@ -132,6 +132,12 @@ def test_enumerate_rejects_zero_and_bad_parity():
         enumerate_types(0)
     with pytest.raises(DomainError):
         enumerate_types(3, "sideways")
+
+
+@pytest.mark.parametrize("n", [TARGET_MAX + 1, -TARGET_MAX - 1, 10 ** 6])
+def test_enumerate_refuses_targets_past_the_bound(n):
+    with pytest.raises(DomainError, match="at most"):
+        enumerate_types(n)
 
 
 def test_enumerate_n1():

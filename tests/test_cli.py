@@ -174,6 +174,22 @@ def test_violation_exit_3(capsys, monkeypatch):
     assert code == 3 and "violations=1" in out
 
 
+def test_verify_enumeration_exit_3_on_a_planted_miss(capsys, planted_miss):
+    argv = ("verify", "enumeration", "--max-len", "6", "--max-entry", "4",
+            "--value-bound", "6")
+    code, out, _ = run(capsys, *argv)
+    assert code == 3
+    assert out.splitlines() == [
+        "hits=850 types=126 violations=1",
+        "  violation missing_from_catalog: alpha=None beta=None expansion=2,1,2,1"]
+    code, out, _ = run(capsys, "--format", "json", *argv)
+    assert code == 3 and json.loads(out)["violations"] == [
+        {"alpha": None, "beta": None, "expansion": [2, 1, 2, 1],
+         "kind": "missing_from_catalog"}]
+    code, out, _ = run(capsys, "--format", "csv", *argv)
+    assert code == 3 and out.endswith("\nmissing_from_catalog,None,None,2.1.2.1\n")
+
+
 @pytest.mark.parametrize("argv", [
     "continuant",
     "continuant 1,2,3 --euler 1,2",

@@ -295,6 +295,15 @@ GOLDEN = [
     Case("--format csv verify main --n 4 --s 0 --alpha-max 30 --mode coarse", 0,
          "kind,alpha,beta,expansion\n",
          ""),
+    Case("--format text verify enumeration --max-len 4 --max-entry 3 --value-bound 2", 0,
+         "hits=46 types=20 violations=0\n",
+         ""),
+    Case("--format json verify enumeration --max-len 4 --max-entry 3 --value-bound 2", 0,
+         '{"hits": 46, "ok": true, "types": 20, "violations": []}\n',
+         ""),
+    Case("--format csv verify enumeration --max-len 4 --max-entry 3 --value-bound 2", 0,
+         "kind,alpha,beta,expansion\n",
+         ""),
     Case("--format text table --n-max 2", 0,
          ("(1, even)  exceptions: none\n"
           "    1 ; \n"
@@ -349,6 +358,25 @@ GOLDEN = [
     Case("verify identities --alpha-max 5 --trials -3", 2,
          "",
          "cfasym: domain error: trials must be a non-negative integer, got -3\n"),
+    Case("verify enumeration --max-len 0", 2,
+         "",
+         "cfasym: domain error: bounds must be positive\n"),
+    Case("verify enumeration --max-len 6 --max-entry 4 --value-bound 129", 2,
+         "",
+         "cfasym: domain error: value_bound must be at most 128, got 129\n"),
+    Case("type --marginal 1 --outer 1", 2,
+         "",
+         "cfasym: domain error: --outer needs --pivot\n"),
+    Case("type --marginal 1 --core 1 --pivot 2 --sigma odd", 2,
+         "",
+         ("cfasym: domain error: --sigma does not apply with --pivot: the length of --"
+          "outer fixes it\n")),
+    Case("enumerate --n 1000", 2,
+         "",
+         "cfasym: domain error: target must be at most 128 in absolute value, got 1000\n"),
+    Case("table --n-max 129", 2,
+         "",
+         "cfasym: domain error: n_max must be at most 128, got 129\n"),
 ]
 
 

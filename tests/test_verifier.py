@@ -1,16 +1,17 @@
 import json
 from math import gcd
 
+import numpy as np
 import pytest
 
 from cfasym import verifier
-from cfasym.asymmetry import decompose, enumerate_types, extended_type
+from cfasym.asymmetry import TARGET_MAX, decompose, enumerate_types, extended_type
 from cfasym.cf import expand
 from cfasym.congruence import CongruenceSpec
 from cfasym.errors import DomainError
 from cfasym.exhaustive import scan_small_anticontinuants_reference
-from cfasym.verifier import (_conv_value_parity, build_table, verify_enumeration,
-                             verify_identities, verify_main_theorem)
+from cfasym.verifier import (_conv_value_parity, _type_keys, build_table,
+                             verify_enumeration, verify_identities, verify_main_theorem)
 from cfasym.continuants import anticontinuant
 
 
@@ -203,3 +204,51 @@ def test_enumeration_builds_only_the_catalogs_it_reads(monkeypatch):
     assert report.ok
     values = {v for _, v in scan_small_anticontinuants_reference(3, 2, 80)}
     assert sorted(calls) == sorted(values)
+
+
+@pytest.mark.parametrize("max_len, max_entry, value_bound", [(7, 4, 6), (6, 5, 10)])
+def test_type_keys_match_decompose(max_len, max_entry, value_bound):
+    base = max_entry + 1
+    by_length = {}
+    for q, value in scan_small_anticontinuants_reference(max_len, max_entry, value_bound):
+        by_length.setdefault(len(q), []).append((q, value))
+    assert len(by_length) == max_len - 1  # every length but 1, which has no hits
+    for hits in by_length.values():
+        rows = np.array([q for q, _ in hits], dtype=np.int64)
+        values = np.array([v for _, v in hits], dtype=np.int64)
+        for (q, value), key in zip(hits, _type_keys(rows, values, base).tolist()):
+            dec = decompose(q)
+            packed = 0
+            for e in dec.core:
+                packed = packed * base + e
+            assert key == [dec.c, packed, dec.depth % 2, value]
+
+
+def test_enumeration_decomposes_once_per_type(monkeypatch):
+    calls = []
+
+    def counting(q):
+        calls.append(q)
+        return decompose(q)
+
+    monkeypatch.setattr(verifier, "decompose", counting)
+    report = verify_enumeration(6, 4, 6)
+    assert report.ok
+    assert len(calls) == report.types < report.hits
+    assert len(set(calls)) == len(calls)
+
+
+def test_enumeration_refuses_values_past_the_catalog_bound(monkeypatch):
+    calls = _counting_catalogs(monkeypatch)
+    with pytest.raises(DomainError):
+        verify_enumeration(6, 4, TARGET_MAX + 1)
+    assert calls == []
+    # the value bound is clamped to the largest reachable value first
+    assert verify_enumeration(3, 2, 10 ** 6) == verify_enumeration(3, 2, 27)
+
+
+def test_build_table_refuses_n_max_past_the_catalog_bound(monkeypatch):
+    calls = _counting_catalogs(monkeypatch)
+    with pytest.raises(DomainError):
+        build_table(TARGET_MAX + 1)
+    assert calls == []
