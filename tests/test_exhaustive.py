@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from cfasym.continuants import anticontinuant
@@ -15,12 +17,27 @@ from cfasym.exhaustive import (scan_small_anticontinuants,
     (6, 4, 1),        # the smallest bound
     (6, 4, 10 ** 6),  # a bound above every value
     (2, 6, 5),        # shorter than the 3 scalar levels: no vectorized level
+    # hits by an entry other than the first, where R = K(q3..) or Qp is small:
+    (6, 5, 2),        # (1, 1, 4, 2), value -2, from a 3-entry parent
+    (6, 5, 20),
+    (5, 8, 8),        # (1, 1, 3, 4, 2), value -8
+    (7, 4, 100),
 ])
 def test_scanner_matches_reference(max_len, max_entry, value_bound):
     fast = sorted(scan_small_anticontinuants(max_len, max_entry, value_bound))
     slow = sorted(scan_small_anticontinuants_reference(max_len, max_entry, value_bound))
     assert fast == slow
     assert len(fast) > 0 or max_entry == 1
+
+
+@pytest.mark.parametrize("max_len, max_entry, value_bound, count, digest", [
+    (9, 5, 8, 25_782, "c8c64bf38fbf3dc8f258fa03b5846471253d96260c6d46d13f05cf038524c6d6"),
+    (8, 6, 6, 18_782, "2329a575b70be97902744c09c69f2a6bba34da06f4e7dfd906ef50c529f95e1b"),
+])
+def test_scanner_order_is_pinned(max_len, max_entry, value_bound, count, digest):
+    hits = list(scan_small_anticontinuants(max_len, max_entry, value_bound))
+    assert len(hits) == count
+    assert hashlib.sha256(repr(hits).encode()).hexdigest() == digest
 
 
 def test_scanner_values_are_true_anticontinuants():
