@@ -1,24 +1,32 @@
 """Exhaustive scan of bounded quotient sequences for small anticontinuants.
 
 Every sequence with length <= max_len and entries in [1, max_entry] is
-visited through an incremental recurrence on four continuants: with
-P = K(q), Pp = K(q minus last), Q = K(q minus first), Qp = K(q minus both),
-appending an entry e maps (P, Pp, Q, Qp) to (e*P + Pp, P, e*Q + Qp, Q), and
-the anticontinuant of the extended sequence is P - (e*Q + Qp) = D - e*Q with
-D = P - Qp.  Q is the continuant of a (possibly empty) run of positive
-entries, so Q >= 1 (the Q track is seeded so that the empty run gives 1),
-and the value falls strictly as e grows.  For the bound B the hits below a
-parent are therefore the e != D/Q in
-[max(1, ceil((D - B)/Q)), min(max_entry, floor((D + B)/Q))], and one floor
-division per parent finds the parents that may have any: the largest
-admissible e, clip(floor((D + B)/Q), 1, max_entry), has |value| <= B or no
-e has (a candidate whose only such child has value 0 has no hit).  Only
-those few parents have all their children checked.  A level's hits come
-from its parents' arrays, and its own arrays are built only when a deeper
-level needs them, so the last level, 7/8 of all states, is never
-materialized.  The hits leave `_scan_batches` as int64 digit arrays, one per
-prefix and length, so a caller can work on them in numpy;
+visited through an incremental recurrence on continuants.  For a parent
+q = (q1, ..., ql) let Q = K(q2..ql), Qp = K(q2..q(l-1)) and R = K(q3..ql),
+Rp = K(q3..q(l-1)).  Appending an entry e maps (R, Rp, Q, Qp) to
+(e*R + Rp, R, e*Q + Qp, Q), and the anticontinuant of the extended sequence
+is K(q) - K(q2..ql, e) = D - e*Q with D = K(q) - Qp = s + q1*Q, where
+s = R - Qp (K(q) = q1*Q + R).  The R track replaces K(q) itself: it is
+seeded from the prefix's continuants as R = K(q) - q1*Q, Rp = Kp - q1*Qp.
+
+Candidate rule.  R/Q and Qp/Q both lie in (0, 1], so -Q < s < Q, and the
+child e has the value s + (q1 - e)*Q.  For e = q1 that is s; for e != q1
+its absolute value is at least Q - |s|.  So a parent can have a hit only
+if |s| <= B or Q - |s| <= B, and no division is needed to find it.  The
+second case needs R - Qp >= Q - B or Qp - R >= Q - B, so R <= B or
+Qp <= B.  On level j both are continuants of j entries (the prefix holds
+q1..q3), hence at least K(1, ..., 1), a Fibonacci number; on the levels
+where that passes B the test is the one-sided |s| <= B, one subtraction
+t = R - (Qp - B) = s + B and the unsigned compare t <= 2B.  The other
+levels test min(|s|, Q - |s|) <= B.  Only the few candidates have all
+their children checked exactly, with the value D - e*Q.  A level's hits
+come from its parents' arrays, and its own arrays are built only when a
+deeper level needs them, so the last level, 7/8 of all states, is never
+materialized.  The hits leave `_scan_batches` as int64 digit arrays, one
+per prefix and length, so a caller can work on them in numpy;
 `scan_small_anticontinuants` flattens them to tuples in the same order.
+The scan uses continuant algebra only, no type theory, so it stays an
+independent check of the type catalog.
 
 The first _CHUNK_DEPTH = 3 levels run in plain Python, one prefix at a time,
 and the levels below them run vectorized in int64.  That is exact because
@@ -27,8 +35,9 @@ K(q) <= prod(q_i + 1) <= (max_entry + 1)^max_len =: M, and the DomainError
 guard rejects bounds with M >= 2^62 (for the stock bounds 8 and 10, M is
 about 3.5e9).  An anticontinuant is a difference of two such continuants,
 so its absolute value is below M, and clamping the bound to B <= M changes
-no hit.  Then 0 <= D <= P < M, e*Q <= e*Q + Qp < M, D +- B and
-D + B - e*Q lie in [-M, 2M), and 2B <= 2M < 2^63, all inside int64; no
+no hit.  Then R <= K(q) < M, |s| < Q < M, Q - |s| lies in (0, M),
+Qp - B in (-M, M) and s + B in (-M, 2M), 2B <= 2M < 2^63, and in the exact
+check q1*Q <= K(q) < M, 0 <= D < M and e*Q < M, all inside int64; no
 per-level check is needed.
 """
 
@@ -39,6 +48,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .continuants import fibonacci
 from .errors import DomainError
 
 _INT64_GUARD = 2 ** 62
@@ -92,18 +102,22 @@ def _scan_batches(max_len: int, max_entry: int,
         yield from rec((), 1, 0, 0, 1)
 
     # the vectorized levels' states live in buffers that every prefix reuses
-    # (fresh arrays would page-fault anew for each prefix): Ps[0] and Ps[1]
-    # hold the prefix's Pp and P, Ps[j + 1] the level below Ps[j], and the
-    # state at flat index i of a level has Pp = Ps[j - 1][i % Ps[j - 1].size]
-    # (same for Q); its child by entry e sits at (e - 1) * Ps[j].size + i
+    # (fresh arrays would page-fault anew for each prefix): Rs[0] and Rs[1]
+    # hold the prefix's Rp and R, Rs[j + 1] the level below Rs[j], and the
+    # state at flat index i of a level has Rp = Rs[j - 1][i % Rs[j - 1].size]
+    # (same for Q); its child by entry e sits at (e - 1) * Rs[j].size + i
     levels = max_len - chunk_depth
     sizes = [1] + [max_entry ** k for k in range(levels)]
-    Ps = [np.empty(size, dtype=np.int64) for size in sizes]
+    Rs = [np.empty(size, dtype=np.int64) for size in sizes]
     Qs = [np.empty(size, dtype=np.int64) for size in sizes]
     t_buf = np.empty(sizes[-1], dtype=np.int64)
     e_buf = np.empty(sizes[-1], dtype=np.int64)
     entries = np.arange(1, max_entry + 1, dtype=np.int64).reshape(-1, 1, 1)
     places = max_entry ** np.arange(levels)
+    # on level j (below a 3-entry prefix) R and Qp are continuants of j
+    # entries, so at least K(1, ..., 1) = F(j + 1); where that passes the
+    # bound only the child e = q1 can hit
+    one_sided = [fibonacci(j + 1) > bound for j in range(levels + 1)]
 
     for prefix, p, pp, qq, qp in states(chunk_depth):
         value = pp - qq
@@ -111,33 +125,40 @@ def _scan_batches(max_len: int, max_entry: int,
             yield np.array([prefix], dtype=np.int64), np.array([value], dtype=np.int64)
         if len(prefix) < chunk_depth or levels == 0:
             continue
-        Ps[0][0], Ps[1][0], Qs[0][0], Qs[1][0] = pp, p, qp, qq
+        q1 = prefix[0]
+        Rs[0][0], Rs[1][0], Qs[0][0], Qs[1][0] = pp - q1 * qp, p - q1 * qq, qp, qq
         for j in range(1, levels + 1):
-            P, Pprev, Q, Qprev = Ps[j], Ps[j - 1], Qs[j], Qs[j - 1]
-            # t = D + B - e*Q for the largest admissible e: a parent has a hit
-            # exactly when 0 <= t <= 2B (a negative t reads as a huge uint64)
-            t, e = t_buf[:P.size], e_buf[:P.size]
-            np.subtract(P.reshape(-1, Qprev.size), Qprev, out=t.reshape(-1, Qprev.size))
-            t += bound
-            np.floor_divide(t, Q, out=e)
-            np.clip(e, 1, max_entry, out=e)
-            e *= Q
-            t -= e
-            cand = np.flatnonzero(t.view(np.uint64) <= 2 * bound)
+            R, Rprev, Q, Qprev = Rs[j], Rs[j - 1], Qs[j], Qs[j - 1]
+            # s = R - Qp = D - q1*Q, and a child's value is s + (q1 - e)*Q
+            t, e = t_buf[:R.size], e_buf[:R.size]
+            if one_sided[j]:
+                # |s| <= B: t = s + B from R - (Qp - B), where a negative t
+                # reads as a huge uint64
+                shift = np.subtract(Qprev, bound, out=e[:Qprev.size])
+                np.subtract(R.reshape(-1, Qprev.size), shift, out=t.reshape(-1, Qprev.size))
+                cand = np.flatnonzero(t.view(np.uint64) <= 2 * bound)
+            else:
+                # |s| <= B, or Q - |s| <= B for some e != q1
+                np.subtract(R.reshape(-1, Qprev.size), Qprev, out=t.reshape(-1, Qprev.size))
+                np.abs(t, out=t)
+                np.subtract(Q, t, out=e)
+                np.minimum(t, e, out=t)
+                cand = np.flatnonzero(t <= bound)
             if cand.size:
                 # every child of the few candidates; row e - 1 holds entry e,
                 # so row-major order is the order of the flat child indices
-                D = P[cand] - Qprev[cand % Qprev.size]
-                values = D - entries.reshape(-1, 1) * Q[cand]
+                Qc = Q[cand]
+                D = R[cand] - Qprev[cand % Qprev.size] + q1 * Qc
+                values = D - entries.reshape(-1, 1) * Qc
                 rows, cols = np.nonzero((values != 0) & (np.abs(values) <= bound))
                 if rows.size:  # a candidate's one child in range may have value 0
-                    flat = rows * P.size + cand[cols]
+                    flat = rows * R.size + cand[cols]
                     hits = np.empty((flat.size, chunk_depth + j), dtype=np.int64)
                     hits[:, :chunk_depth] = prefix
                     hits[:, chunk_depth:] = (flat[:, None] // places[:j]) % max_entry + 1
                     yield hits, values[rows, cols]
             if j < levels:
-                for new, cur, prev in ((Ps[j + 1], P, Pprev), (Qs[j + 1], Q, Qprev)):
+                for new, cur, prev in ((Rs[j + 1], R, Rprev), (Qs[j + 1], Q, Qprev)):
                     child = new.reshape(max_entry, -1, prev.size)
                     np.multiply(entries, cur.reshape(-1, prev.size), out=child)
                     child += prev

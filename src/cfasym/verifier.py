@@ -438,13 +438,14 @@ def build_table(n_max: int) -> TableDocument:
         raise DomainError(f"n_max must be at most {TARGET_MAX}, got {n_max}")
     rows = []
     for value in range(1, n_max + 1):
+        # one catalog per value, split by core-length parity as enumerate_types does
+        catalog = enumerate_types(value, "both")
         for parity_bit, parity in ((0, "even"), (1, "odd")):
-            catalog = enumerate_types(value, parity)
             # sort on (core length, marginal, entries), a family's slot counting as 0
             keyed = [((len(core), c, core), c, ",".join(map(str, core)))
-                     for c, core in catalog.coarse_pairs()]
+                     for c, core in catalog.coarse_pairs() if len(core) % 2 == parity_bit]
             keyed += [(f.sort_key(), f.c, f.display_core())
-                      for f in catalog.coarse_families()]
+                      for f in catalog.coarse_families() if len(f.pattern) % 2 == parity_bit]
             entries = [TableEntry(c, core) for _, c, core in sorted(keyed)]
             if value == 2 and parity_bit == 0:
                 exceptions: tuple[tuple[int, int], ...] = ()

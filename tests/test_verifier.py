@@ -247,6 +247,12 @@ def test_enumeration_refuses_values_past_the_catalog_bound(monkeypatch):
     assert verify_enumeration(3, 2, 10 ** 6) == verify_enumeration(3, 2, 27)
 
 
+def test_build_table_builds_one_catalog_per_value(monkeypatch):
+    calls = _counting_catalogs(monkeypatch)
+    build_table(6)
+    assert calls == [1, 2, 3, 4, 5, 6]
+
+
 def test_build_table_refuses_n_max_past_the_catalog_bound(monkeypatch):
     calls = _counting_catalogs(monkeypatch)
     with pytest.raises(DomainError):
