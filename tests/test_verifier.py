@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from math import gcd
 
@@ -9,7 +10,7 @@ from cfasym.asymmetry import TARGET_MAX, decompose, enumerate_types, extended_ty
 from cfasym.cf import expand
 from cfasym.congruence import CongruenceSpec
 from cfasym.errors import DomainError
-from cfasym.exhaustive import scan_small_anticontinuants_reference
+from cfasym.exhaustive import scan_small_anticontinuants, scan_small_anticontinuants_reference
 from cfasym.verifier import (_conv_value_parity, _type_keys, build_table,
                              verify_enumeration, verify_identities, verify_main_theorem)
 from cfasym.continuants import anticontinuant
@@ -178,6 +179,30 @@ def test_enumeration_reports_a_planted_miss(planted_miss):
     miss = report.violations[0]
     assert (miss.alpha, miss.beta) == (None, None)
     assert extended_type(decompose(miss.expansion)) == planted_miss
+
+
+def test_enumeration_reports_first_hits_in_scan_order(monkeypatch):
+    # without the sigma-odd finite types, many instances miss, not just one
+    def catalog_without_sigma_odd(n, lambda_parity="both"):
+        catalog = enumerate_types(n, lambda_parity)
+        kept = frozenset(t for t in catalog.finite_types if t.sigma == "even")
+        return dataclasses.replace(catalog, finite_types=kept)
+
+    monkeypatch.setattr(verifier, "enumerate_types", catalog_without_sigma_odd)
+    seen = set()
+    expected = []
+    for q, value in scan_small_anticontinuants(6, 4, 6):
+        dec = decompose(q)
+        key = (dec.c, dec.core, dec.sigma, value)
+        if key in seen:
+            continue
+        seen.add(key)
+        if not catalog_without_sigma_odd(value).contains(dec.c, dec.core, dec.sigma):
+            expected.append(q)
+    report = verify_enumeration(6, 4, 6)
+    assert len(expected) > 1
+    assert {v.kind for v in report.violations} == {"missing_from_catalog"}
+    assert [v.expansion for v in report.violations] == expected
 
 
 def _counting_catalogs(monkeypatch):
