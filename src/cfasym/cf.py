@@ -45,8 +45,6 @@ def expand(alpha: int, beta: int) -> tuple[int, ...]:
         raise DomainError(f"pair ({alpha}, {beta}) outside 1 <= beta <= alpha")
     if gcd(alpha, beta) != 1:
         raise DomainError(f"pair ({alpha}, {beta}) is not coprime")
-    if beta == alpha and alpha != 1:
-        raise DomainError(f"beta = alpha only allowed for (1, 1), got ({alpha}, {beta})")
     a, b = alpha, beta
     qs = []
     while b:

@@ -167,9 +167,7 @@ def _cmd_exceptional(args) -> _Result:
                        {"pairs": [list(p) for p in pairs]}, (("alpha", "beta"), pairs))
     cands = congruence.exceptional_candidates(spec)
     if args.certificates:
-        payload = {str(m): [{"condition": c.condition, "witness": c.witness}
-                            for c in certs]
-                   for m, certs in cands.items()}
+        payload = {str(m): [asdict(c) for c in certs] for m, certs in cands.items()}
         text = "\n".join(
             f"{m}: " + "; ".join(
                 c.condition + (f"({c.witness})" if c.witness is not None else "")

@@ -49,7 +49,6 @@ class CongruenceSpec:
 class ExceptionalCertificate:
     """Which excluding condition a modulus satisfies, with its witness if any."""
 
-    modulus: int
     condition: Condition
     witness: Optional[int] = None
 
@@ -265,8 +264,7 @@ def exceptional_candidates(spec: CongruenceSpec) -> dict[int, tuple[ExceptionalC
     certs: dict[int, list[ExceptionalCertificate]] = {}
 
     def add(modulus: int, condition: Condition, witness: Optional[int]) -> None:
-        certs.setdefault(modulus, []).append(
-            ExceptionalCertificate(modulus, condition, witness))
+        certs.setdefault(modulus, []).append(ExceptionalCertificate(condition, witness))
 
     for alpha in range(1, 2 * a + 1):
         add(alpha, "small_alpha", None)

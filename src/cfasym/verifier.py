@@ -105,11 +105,6 @@ class ExcludedModulus:
     modulus: int
     certificates: tuple[ExceptionalCertificate, ...]
 
-    def to_dict(self) -> dict:
-        return {"modulus": self.modulus,
-                "certificates": [{"condition": c.condition, "witness": c.witness}
-                                 for c in self.certificates]}
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -142,8 +137,6 @@ class VerificationReport:
             other = ("n", "s", "mode", "excluded", "coarse_counterexamples",
                      "necessary_exclusions")
         out = {k: v for k, v in asdict(self).items() if k not in other}
-        if "excluded" in out:  # without the modulus that each certificate repeats
-            out["excluded"] = [e.to_dict() for e in self.excluded]
         return {**out, "ok": self.ok}
 
     def to_json(self) -> str:
@@ -308,10 +301,7 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     DomainError before any catalog, and so does a bound that could reach a
     value beyond TARGET_MAX, whose catalog `enumerate_types` refuses.
     """
-    # numpy and the scanner stay out of CLI start-up
-    import numpy as np
-
-    from .exhaustive import _checked_bound, _scan_batches
+    from .exhaustive import _checked_bound, _scan_batches  # numpy stays out of CLI start-up
 
     bound = _checked_bound(max_len, max_entry, value_bound)
     if bound > TARGET_MAX:
@@ -324,14 +314,7 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     for rows, values in batches:
         hits += values.size
         keys = _type_keys(rows, values, max_entry + 1)
-        # the first row of each distinct key: lexsort is stable, so a run of
-        # equal keys starts at its earliest row
-        order = np.lexsort(keys.T)
-        ordered = keys[order]
-        starts = np.ones(order.size, dtype=bool)
-        starts[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-        firsts = np.sort(order[starts])
-        for i, key in zip(firsts.tolist(), map(tuple, keys[firsts].tolist())):
+        for i, key in enumerate(map(tuple, keys.tolist())):
             if key in seen:
                 continue
             seen.add(key)
