@@ -54,13 +54,30 @@ def _scalar(key: str, value: int) -> _Result:
     return _Result(str(value), {key: value})
 
 
+def _refuse_unread(use: str, flags) -> None:
+    """Reject the first (flag, given) pair that is given but that `use` would not read.
+
+    Each subcommand with several uses calls this, so a stray flag is a domain
+    error and not silently dropped.
+    """
+    for flag, given in flags:
+        if given:
+            raise DomainError(f"{flag} does not apply with {use}")
+
+
 def _cmd_expand(args) -> _Result:
+    # three uses: evaluate --from-quotients; predict the length parity of
+    # ALPHA BETA; expand ALPHA BETA at --parity
     if args.from_quotients is not None:
+        _refuse_unread("--from-quotients", (("a pair ALPHA BETA", args.alpha is not None),
+                                            ("--predict-parity", args.predict_parity),
+                                            ("--parity", args.parity != "conv")))
         alpha, beta = cf.evaluate(_parse_sequence(args.from_quotients))
         return _Result(f"{alpha}/{beta}", {"alpha": alpha, "beta": beta})
     if args.alpha is None or args.beta is None:
         raise DomainError("expand needs ALPHA BETA or --from-quotients")
     if args.predict_parity:
+        _refuse_unread("--predict-parity", (("--parity", args.parity != "conv"),))
         pred = cf.parity_by_inverse(args.alpha, args.beta)
         return _Result(pred.predicted_parity, asdict(pred))
     if args.parity == "conv":
@@ -71,12 +88,18 @@ def _cmd_expand(args) -> _Result:
 
 
 def _cmd_continuant(args) -> _Result:
+    # three uses: a Fibonacci number from --fib; the --euler residual of a
+    # SEQUENCE; the continuant of a SEQUENCE over --i..--j
+    range_flags = (("--i", args.i != 0), ("--j", args.j is not None))
     if args.fib is not None:
+        _refuse_unread("--fib", (("a SEQUENCE", args.sequence is not None),
+                                 ("--euler", args.euler is not None), *range_flags))
         return _scalar("fibonacci", continuants.fibonacci(args.fib))
     if args.sequence is None:
         raise DomainError("continuant needs a SEQUENCE or --fib")
     q = _parse_sequence(args.sequence)
     if args.euler is not None:
+        _refuse_unread("--euler", range_flags)
         indices = _parse_sequence(args.euler)
         if len(indices) != 4:
             raise DomainError(f"--euler needs four indices K,L,M,N, got {args.euler!r}")
@@ -98,8 +121,7 @@ def _cmd_type(args) -> _Result:
     # decompose a SEQUENCE.  A flag that the chosen use would not read is an
     # error, not silently dropped.
     if args.marginal is not None:
-        if args.sequence is not None:
-            raise DomainError("a SEQUENCE does not apply with --marginal")
+        _refuse_unread("--marginal", (("a SEQUENCE", args.sequence is not None),))
         core = _parse_sequence(args.core) if args.core else ()
         if args.pivot is None:
             if args.outer:
@@ -159,6 +181,15 @@ def _cmd_solve(args) -> _Result:
 
 
 def _cmd_exceptional(args) -> _Result:
+    # four uses: the moduli, their --certificates, their solved --pairs, or
+    # the --true-exceptions among those pairs; --single-sign serves the last two
+    uses = [flag for flag, given in (("--pairs", args.pairs),
+                                     ("--true-exceptions", args.true_exceptions),
+                                     ("--certificates", args.certificates)) if given]
+    if len(uses) > 1:
+        raise DomainError(f"{uses[1]} does not apply with {uses[0]}")
+    if args.single_sign and not (args.pairs or args.true_exceptions):
+        raise DomainError("--single-sign needs --pairs or --true-exceptions")
     spec = congruence.CongruenceSpec(args.n, args.s)
     if args.true_exceptions or args.pairs:
         find = congruence.true_exceptions if args.true_exceptions else congruence.candidate_pairs

@@ -1,6 +1,14 @@
 import dataclasses
+import os
+import sys
 
 import pytest
+
+# No bytecode cache in src/, here or in the CLI subprocesses: a stale one
+# changes how much compiling each CLI start does, and so what a copy measures.
+# Set before cfasym is first imported.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 from cfasym import verifier
 from cfasym.asymmetry import decompose, enumerate_types, extended_type

@@ -371,6 +371,30 @@ GOLDEN = [
          "",
          ("cfasym: domain error: --sigma does not apply with --pivot: the length of --"
           "outer fixes it\n")),
+    Case("expand 5 2 --from-quotients 3,1,2", 2,
+         "",
+         "cfasym: domain error: a pair ALPHA BETA does not apply with --from-quotients\n"),
+    Case("expand --from-quotients 3,1 --parity odd", 2,
+         "",
+         "cfasym: domain error: --parity does not apply with --from-quotients\n"),
+    Case("expand 7 3 --predict-parity --parity even", 2,
+         "",
+         "cfasym: domain error: --parity does not apply with --predict-parity\n"),
+    Case("continuant 1,2,3 --fib 5", 2,
+         "",
+         "cfasym: domain error: a SEQUENCE does not apply with --fib\n"),
+    Case("continuant 1,2,3 --euler 0,1,1,2 --i 1 --j 1", 2,
+         "",
+         "cfasym: domain error: --i does not apply with --euler\n"),
+    Case("exceptional --n 3 --s 1 --pairs --certificates", 2,
+         "",
+         "cfasym: domain error: --certificates does not apply with --pairs\n"),
+    Case("exceptional --n 3 --s 1 --pairs --true-exceptions", 2,
+         "",
+         "cfasym: domain error: --true-exceptions does not apply with --pairs\n"),
+    Case("exceptional --n 3 --s 1 --single-sign", 2,
+         "",
+         "cfasym: domain error: --single-sign needs --pairs or --true-exceptions\n"),
     Case("enumerate --n 1000", 2,
          "",
          "cfasym: domain error: target must be at most 128 in absolute value, got 1000\n"),
