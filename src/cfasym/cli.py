@@ -55,11 +55,7 @@ def _scalar(key: str, value: int) -> _Result:
 
 
 def _refuse_unread(use: str, flags) -> None:
-    """Reject the first (flag, given) pair that is given but that `use` would not read.
-
-    Each subcommand with several uses calls this, so a stray flag is a domain
-    error and not silently dropped.
-    """
+    """Refuse the first given flag of `flags`, (flag, given) pairs that `use` does not read."""
     for flag, given in flags:
         if given:
             raise DomainError(f"{flag} does not apply with {use}")

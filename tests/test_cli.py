@@ -206,29 +206,6 @@ def test_main_reports_bad_input_without_raising(capsys, argv):
     assert err.startswith(("cfasym", "usage:"))
 
 
-@pytest.mark.parametrize("argv, flag", [
-    ("expand 5 2 --from-quotients 3,1,2", "ALPHA BETA"),
-    ("expand --from-quotients 3,1 --predict-parity", "--predict-parity"),
-    ("expand --from-quotients 3,1 --parity even", "--parity"),
-    ("expand 7 3 --predict-parity --parity odd", "--parity"),
-    ("continuant 1,2,3 --fib 5", "SEQUENCE"),
-    ("continuant --fib 5 --euler 0,1,1,2", "--euler"),
-    ("continuant --fib 5 --i 1", "--i"),
-    ("continuant --fib 5 --j 1", "--j"),
-    ("continuant 1,2,3 --euler 0,1,1,2 --i 1", "--i"),
-    ("continuant 1,2,3 --euler 0,1,1,2 --j 2", "--j"),
-    ("exceptional --n 3 --s 1 --pairs --certificates", "--certificates"),
-    ("exceptional --n 3 --s 1 --true-exceptions --certificates", "--certificates"),
-    ("exceptional --n 3 --s 1 --pairs --true-exceptions", "--true-exceptions"),
-    ("exceptional --n 3 --s 1 --single-sign", "--single-sign"),
-    ("exceptional --n 3 --s 1 --certificates --single-sign", "--single-sign"),
-])
-def test_unread_flags_are_domain_errors(capsys, argv, flag):
-    code, out, err = run(capsys, *argv.split())
-    assert (code, out) == (2, "")
-    assert err.startswith("cfasym: domain error: ") and flag in err
-
-
 def test_env_format_default(capsys, monkeypatch):
     monkeypatch.setenv("CFASYM_FORMAT", "json")
     code, out, _ = run(capsys, "expand", "25", "7")

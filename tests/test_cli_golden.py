@@ -395,6 +395,24 @@ GOLDEN = [
     Case("exceptional --n 3 --s 1 --single-sign", 2,
          "",
          "cfasym: domain error: --single-sign needs --pairs or --true-exceptions\n"),
+    Case("expand --from-quotients 3,1 --predict-parity", 2,
+         "",
+         "cfasym: domain error: --predict-parity does not apply with --from-quotients\n"),
+    Case("continuant --fib 5 --euler 0,1,1,2", 2,
+         "",
+         "cfasym: domain error: --euler does not apply with --fib\n"),
+    Case("continuant --fib 5 --j 1", 2,
+         "",
+         "cfasym: domain error: --j does not apply with --fib\n"),
+    Case("continuant 1,2,3 --euler 0,1,1,2 --j 2", 2,
+         "",
+         "cfasym: domain error: --j does not apply with --euler\n"),
+    Case("exceptional --n 3 --s 1 --true-exceptions --certificates", 2,
+         "",
+         "cfasym: domain error: --certificates does not apply with --true-exceptions\n"),
+    Case("exceptional --n 3 --s 1 --certificates --single-sign", 2,
+         "",
+         "cfasym: domain error: --single-sign needs --pairs or --true-exceptions\n"),
     Case("enumerate --n 1000", 2,
          "",
          "cfasym: domain error: target must be at most 128 in absolute value, got 1000\n"),
