@@ -380,24 +380,15 @@ GOLDEN = [
     Case("expand 7 3 --predict-parity --parity even", 2,
          "",
          "cfasym: domain error: --parity does not apply with --predict-parity\n"),
+    Case("expand --from-quotients 3,1 --predict-parity", 2,
+         "",
+         "cfasym: domain error: --predict-parity does not apply with --from-quotients\n"),
     Case("continuant 1,2,3 --fib 5", 2,
          "",
          "cfasym: domain error: a SEQUENCE does not apply with --fib\n"),
     Case("continuant 1,2,3 --euler 0,1,1,2 --i 1 --j 1", 2,
          "",
          "cfasym: domain error: --i does not apply with --euler\n"),
-    Case("exceptional --n 3 --s 1 --pairs --certificates", 2,
-         "",
-         "cfasym: domain error: --certificates does not apply with --pairs\n"),
-    Case("exceptional --n 3 --s 1 --pairs --true-exceptions", 2,
-         "",
-         "cfasym: domain error: --true-exceptions does not apply with --pairs\n"),
-    Case("exceptional --n 3 --s 1 --single-sign", 2,
-         "",
-         "cfasym: domain error: --single-sign needs --pairs or --true-exceptions\n"),
-    Case("expand --from-quotients 3,1 --predict-parity", 2,
-         "",
-         "cfasym: domain error: --predict-parity does not apply with --from-quotients\n"),
     Case("continuant --fib 5 --euler 0,1,1,2", 2,
          "",
          "cfasym: domain error: --euler does not apply with --fib\n"),
@@ -407,6 +398,15 @@ GOLDEN = [
     Case("continuant 1,2,3 --euler 0,1,1,2 --j 2", 2,
          "",
          "cfasym: domain error: --j does not apply with --euler\n"),
+    Case("exceptional --n 3 --s 1 --pairs --certificates", 2,
+         "",
+         "cfasym: domain error: --certificates does not apply with --pairs\n"),
+    Case("exceptional --n 3 --s 1 --pairs --true-exceptions", 2,
+         "",
+         "cfasym: domain error: --true-exceptions does not apply with --pairs\n"),
+    Case("exceptional --n 3 --s 1 --single-sign", 2,
+         "",
+         "cfasym: domain error: --single-sign needs --pairs or --true-exceptions\n"),
     Case("exceptional --n 3 --s 1 --true-exceptions --certificates", 2,
          "",
          "cfasym: domain error: --certificates does not apply with --true-exceptions\n"),
