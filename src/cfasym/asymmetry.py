@@ -90,8 +90,6 @@ class ParametricFamily:
 class TypeCatalog:
     """Every extended type (and parametric family) achieving a target value."""
 
-    target: int
-    lambda_parity: LambdaParity
     finite_types: frozenset[ExtendedAsymmetryType]
     families: frozenset[ParametricFamily] = field(default_factory=frozenset)
 
@@ -259,5 +257,4 @@ def enumerate_types(n: int, lambda_parity: LambdaParity = "both") -> TypeCatalog
         finite = {t for t in finite if len(t.core) % 2 == want}
         families = {f for f in families if len(f.pattern) % 2 == want}
 
-    return TypeCatalog(target=n, lambda_parity=lambda_parity,
-                       finite_types=frozenset(finite), families=frozenset(families))
+    return TypeCatalog(frozenset(finite), frozenset(families))

@@ -67,16 +67,16 @@ def _cmd_expand(args) -> _Result:
     if args.from_quotients is not None:
         _refuse_unread("--from-quotients", (("a pair ALPHA BETA", args.alpha is not None),
                                             ("--predict-parity", args.predict_parity),
-                                            ("--parity", args.parity != "conv")))
+                                            ("--parity", args.parity is not None)))
         alpha, beta = cf.evaluate(_parse_sequence(args.from_quotients))
         return _Result(f"{alpha}/{beta}", {"alpha": alpha, "beta": beta})
     if args.alpha is None or args.beta is None:
         raise DomainError("expand needs ALPHA BETA or --from-quotients")
     if args.predict_parity:
-        _refuse_unread("--predict-parity", (("--parity", args.parity != "conv"),))
+        _refuse_unread("--predict-parity", (("--parity", args.parity is not None),))
         pred = cf.parity_by_inverse(args.alpha, args.beta)
         return _Result(pred.predicted_parity, asdict(pred))
-    if args.parity == "conv":
+    if args.parity in (None, "conv"):
         q = cf.expand(args.alpha, args.beta)
     else:
         q = cf.expand_with_parity(args.alpha, args.beta, args.parity)
@@ -86,7 +86,7 @@ def _cmd_expand(args) -> _Result:
 def _cmd_continuant(args) -> _Result:
     # three uses: a Fibonacci number from --fib; the --euler residual of a
     # SEQUENCE; the continuant of a SEQUENCE over --i..--j
-    range_flags = (("--i", args.i != 0), ("--j", args.j is not None))
+    range_flags = (("--i", args.i is not None), ("--j", args.j is not None))
     if args.fib is not None:
         _refuse_unread("--fib", (("a SEQUENCE", args.sequence is not None),
                                  ("--euler", args.euler is not None), *range_flags))
@@ -102,7 +102,7 @@ def _cmd_continuant(args) -> _Result:
         k, l, m, n = indices
         return _scalar("euler_residual", continuants.euler_residual(q, k, l, m, n))
     j = len(q) - 1 if args.j is None else args.j
-    return _scalar("continuant", continuants.continuant_range(q, args.i, j))
+    return _scalar("continuant", continuants.continuant_range(q, args.i or 0, j))
 
 
 def _cmd_anticont(args) -> _Result:
@@ -120,7 +120,7 @@ def _cmd_type(args) -> _Result:
         _refuse_unread("--marginal", (("a SEQUENCE", args.sequence is not None),))
         core = _parse_sequence(args.core) if args.core else ()
         if args.pivot is None:
-            if args.outer:
+            if args.outer is not None:
                 raise DomainError("--outer needs --pivot")
             t = asymmetry.ExtendedAsymmetryType(args.marginal, core, args.sigma or "even")
             return _scalar("value", asymmetry.type_value(t))
@@ -133,7 +133,7 @@ def _cmd_type(args) -> _Result:
         return _Result(_seq_str(q), {"quotients": list(q)})
     for flag, value in (("--core", args.core), ("--sigma", args.sigma),
                         ("--pivot", args.pivot), ("--outer", args.outer)):
-        if value not in (None, ""):
+        if value is not None:
             raise DomainError(f"{flag} needs --marginal")
     if args.sequence is None:
         raise DomainError("type needs a SEQUENCE, or --marginal/--core/--sigma, "
@@ -262,7 +262,7 @@ def build_parser() -> _Parser:
     p = sub.add_parser("expand", help="expand alpha/beta into quotients")
     p.add_argument("alpha", type=int, nargs="?")
     p.add_argument("beta", type=int, nargs="?")
-    p.add_argument("--parity", choices=("conv", "even", "odd"), default="conv")
+    p.add_argument("--parity", choices=("conv", "even", "odd"))
     p.add_argument("--predict-parity", action="store_true",
                    help="predict the selected length parity from the inverse of beta")
     p.add_argument("--from-quotients", metavar="SEQ",
@@ -271,7 +271,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("continuant", help="continuant of a sequence or range")
     p.add_argument("sequence", nargs="?")
-    p.add_argument("--i", type=int, default=0)
+    p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--fib", type=int, help="return the k-th Fibonacci number")
     p.add_argument("--euler", metavar="K,L,M,N",
@@ -287,10 +287,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("type", help="decompose a sequence, or compose/value a type")
     p.add_argument("sequence", nargs="?")
     p.add_argument("--marginal", type=int)
-    p.add_argument("--core", default="")
+    p.add_argument("--core")
     p.add_argument("--sigma", choices=("even", "odd"))
     p.add_argument("--pivot", type=int)
-    p.add_argument("--outer", default="")
+    p.add_argument("--outer")
     p.set_defaults(func=_cmd_type)
 
     p = sub.add_parser("enumerate", help="all extended types achieving a value")

@@ -98,14 +98,6 @@ class FoldedForm:
     pivot: int
 
 
-def _require_workable(spec: CongruenceSpec, op: str) -> None:
-    if spec.n == 0:
-        raise DomainError(f"{op} needs n != 0 (value 0 is the symmetric class)")
-    if spec.s == 0 and abs(spec.n) == 2:
-        raise DomainError(
-            f"{op} excludes (n = +-2, s = 0); use the folded-family operations")
-
-
 def solve_quadratic(spec: CongruenceSpec, alpha: int) -> list[int]:
     """All beta in (0, alpha) with beta^2 + n*beta + (-1)^s = 0 (mod alpha), sorted.
 
@@ -258,7 +250,11 @@ def exceptional_candidates(spec: CongruenceSpec) -> dict[int, tuple[ExceptionalC
     vanish: 0 needs gamma*(a - gamma) = 1, forcing a = 2 and s = 0, or
     eta*(2a - eta) = 4, forcing eta = a = 2 and s = 0.
     """
-    _require_workable(spec, "exceptional_candidates")
+    if spec.n == 0:
+        raise DomainError("exceptional_candidates needs n != 0 (value 0 is the symmetric class)")
+    if spec.s == 0 and abs(spec.n) == 2:
+        raise DomainError("exceptional_candidates excludes (n = +-2, s = 0); "
+                          "use the folded-family operations")
     a = abs(spec.n)
     e = spec.unit
     certs: dict[int, list[ExceptionalCertificate]] = {}
@@ -353,12 +349,12 @@ def folded_expand_classify(p: FoldedParams) -> tuple[tuple[int, ...], FoldedForm
             break
     if match is None:
         raise FoldedFormError(
-            f"no folded pattern matches {alpha}/{beta} with quotients {seq}", seq)
+            f"no folded pattern matches {alpha}/{beta} with quotients {seq}")
     if p.b == 1 and match.form != 1:
         raise FoldedFormError(
-            f"b = 1 requires form 1, got form {match.form} for {alpha}/{beta}", seq)
+            f"b = 1 requires form 1, got form {match.form} for {alpha}/{beta}")
     if p.b >= 2 and (match.form == 1 or match.x != p.b - 1):
         raise FoldedFormError(
             f"b = {p.b} requires form 2 or 3 with x = {p.b - 1}, got {match} "
-            f"for {alpha}/{beta}", seq)
+            f"for {alpha}/{beta}")
     return seq, match

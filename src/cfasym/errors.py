@@ -4,7 +4,3 @@ class DomainError(ValueError):
 
 class FoldedFormError(DomainError):
     """A quotient sequence failed to match any of the folded quotient patterns."""
-
-    def __init__(self, message: str, sequence=()):
-        super().__init__(message)
-        self.sequence = tuple(sequence)

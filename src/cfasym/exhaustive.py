@@ -61,7 +61,10 @@ def scan_small_anticontinuants(max_len: int, max_entry: int,
 
     The bounds are checked here, at the call; the scan itself is lazy.
     """
-    return _scan(max_len, max_entry, _checked_bound(max_len, max_entry, value_bound))
+    batches = _scan_batches(max_len, max_entry,
+                            _checked_bound(max_len, max_entry, value_bound))
+    return ((seq, value) for rows, values in batches
+            for seq, value in zip(map(tuple, rows.tolist()), values.tolist()))
 
 
 def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:
@@ -72,11 +75,6 @@ def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:
         raise DomainError(
             f"bounds (len {max_len}, entry {max_entry}) exceed the exact int64 range")
     return min(value_bound, (max_entry + 1) ** max_len)
-
-
-def _scan(max_len: int, max_entry: int, bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    for rows, values in _scan_batches(max_len, max_entry, bound):
-        yield from zip(map(tuple, rows.tolist()), values.tolist())
 
 
 def _scan_batches(max_len: int, max_entry: int,

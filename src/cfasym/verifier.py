@@ -220,7 +220,6 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
 
     excluded = tuple(ExcludedModulus(m, certs) for m, certs in candidates.items()
                      if m <= alpha_max)
-    excluded_set = {e.modulus for e in excluded}
     violations: list[ViolationRecord] = []
     coarse_cex: list[CoarseCounterexample] = []
     necessary: list[int] = []
@@ -230,7 +229,7 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
     for alpha in range(2, alpha_max + 1):
         roots = set(solve_quadratic(spec, alpha))
         typed = set(_pair_index(alpha, bound).get((n, s), ()))
-        if alpha in excluded_set:
+        if alpha in candidates:
             if roots != typed:
                 necessary.append(alpha)
             continue

@@ -27,3 +27,21 @@ def planted_miss(monkeypatch):
 
     monkeypatch.setattr(verifier, "enumerate_types", catalog_without)
     return dropped
+
+
+@pytest.fixture
+def plant_roots(monkeypatch):
+    """Return plant(alpha, drop=(), add=()), which edits the verifier's root set at alpha.
+
+    The fault goes on the root side: the typed side comes from the verifier's
+    module-level pair index, which a monkeypatch would not reach once filled.
+    """
+    def plant(alpha, drop=(), add=()):
+        solve = verifier.solve_quadratic
+
+        def planted(spec, modulus):
+            roots = solve(spec, modulus)
+            return sorted(set(roots) - set(drop) | set(add)) if modulus == alpha else roots
+
+        monkeypatch.setattr(verifier, "solve_quadratic", planted)
+    return plant

@@ -88,6 +88,16 @@ GOLDEN = [
     Case("--format json type --marginal 1 --core 1,2 --sigma odd", 0,
          '{"value": 2}\n',
          ""),
+    Case("--format text type --marginal 1 --core=", 0,
+         "1\n",
+         ""),
+    Case("--format text type 3,1,1,3", 0,
+         "depth=2 marginal=0 core= pivot=None sigma=even value=0\n",
+         ""),
+    Case("--format json type 3,1,1,3", 0,
+         ('{"core": [], "depth": 2, "marginal": 0, "outer": [3, 1], "pivot": null, '
+          '"sigma": "even", "value": 0}\n'),
+         ""),
     Case("--format text enumerate --n 2", 0,
          ("2 ;  ; even\n"
           "2 ;  ; odd\n"
@@ -371,13 +381,32 @@ GOLDEN = [
          "",
          ("cfasym: domain error: --sigma does not apply with --pivot: the length of --"
           "outer fixes it\n")),
+    Case("type --marginal 1 --outer=", 2,
+         "",
+         "cfasym: domain error: --outer needs --pivot\n"),
+    Case("type 2,1,2,1 --core=", 2,
+         "",
+         "cfasym: domain error: --core needs --marginal\n"),
+    Case("type --core 1", 2,
+         "",
+         "cfasym: domain error: --core needs --marginal\n"),
+    Case("type", 2,
+         "",
+         ("cfasym: domain error: type needs a SEQUENCE, or --marginal/--core/--sigma, "
+          "or --marginal/--core/--pivot/--outer\n")),
     Case("expand 5 2 --from-quotients 3,1,2", 2,
          "",
          "cfasym: domain error: a pair ALPHA BETA does not apply with --from-quotients\n"),
     Case("expand --from-quotients 3,1 --parity odd", 2,
          "",
          "cfasym: domain error: --parity does not apply with --from-quotients\n"),
+    Case("expand --from-quotients 3,1 --parity conv", 2,
+         "",
+         "cfasym: domain error: --parity does not apply with --from-quotients\n"),
     Case("expand 7 3 --predict-parity --parity even", 2,
+         "",
+         "cfasym: domain error: --parity does not apply with --predict-parity\n"),
+    Case("expand 7 3 --predict-parity --parity conv", 2,
          "",
          "cfasym: domain error: --parity does not apply with --predict-parity\n"),
     Case("expand --from-quotients 3,1 --predict-parity", 2,
@@ -389,12 +418,18 @@ GOLDEN = [
     Case("continuant 1,2,3 --euler 0,1,1,2 --i 1 --j 1", 2,
          "",
          "cfasym: domain error: --i does not apply with --euler\n"),
+    Case("continuant 1,2,3 --euler 0,1,1,2 --i 0", 2,
+         "",
+         "cfasym: domain error: --i does not apply with --euler\n"),
     Case("continuant --fib 5 --euler 0,1,1,2", 2,
          "",
          "cfasym: domain error: --euler does not apply with --fib\n"),
     Case("continuant --fib 5 --j 1", 2,
          "",
          "cfasym: domain error: --j does not apply with --fib\n"),
+    Case("continuant --fib 5 --i 0", 2,
+         "",
+         "cfasym: domain error: --i does not apply with --fib\n"),
     Case("continuant 1,2,3 --euler 0,1,1,2 --j 2", 2,
          "",
          "cfasym: domain error: --j does not apply with --euler\n"),

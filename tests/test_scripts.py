@@ -4,8 +4,11 @@ import sys
 from pathlib import Path
 
 from cfasym.exhaustive import scan_small_anticontinuants_reference
+from cfasym.verifier import build_table, verify_identities
 
-SCAN_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "scan_enumeration.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SCAN_SCRIPT = SCRIPTS / "scan_enumeration.py"
+RUN_SCRIPT = SCRIPTS / "run_verification.py"
 
 
 def test_scan_enumeration_script_small_bounds(capsys, monkeypatch):
@@ -28,3 +31,31 @@ def test_scan_enumeration_script_reports_misses(capsys, monkeypatch, planted_mis
     captured = capsys.readouterr()
     assert "no misses" not in captured.out
     assert re.search(r"^MISS seq=\(.*\): missing from catalog$", captured.err, re.M)
+
+
+def _run_verification(monkeypatch, out):
+    argv = ["--identities-alpha-max", "30", "--trials", "50", "--alpha-max", "60",
+            "--n-max", "2", "--out", str(out)]
+    monkeypatch.setattr(sys, "argv", [str(RUN_SCRIPT), *argv])
+    return runpy.run_path(str(RUN_SCRIPT), run_name="run_verification")["main"]()
+
+
+def test_run_verification_script_small_bounds(capsys, monkeypatch, tmp_path):
+    assert _run_verification(monkeypatch, tmp_path) == 0
+    assert capsys.readouterr().out.endswith("all sweeps clean\n")
+    mains = [f"main_n{n:+d}_s{s}.json" for n in (1, -1, 2, -2) for s in (0, 1)
+             if (abs(n), s) != (2, 0)]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["identities.json", "main_theorem_all.json", "table.csv", "table.txt", *mains])
+    identities = verify_identities(30, trials=50, seed=0).to_json() + "\n"
+    assert (tmp_path / "identities.json").read_text() == identities
+    assert (tmp_path / "table.csv").read_text() == build_table(2).to_csv()
+
+
+def test_run_verification_script_reports_violations(capsys, monkeypatch, tmp_path,
+                                                    plant_roots):
+    plant_roots(7, drop=(2,))
+    assert _run_verification(monkeypatch, tmp_path) == 3
+    captured = capsys.readouterr()
+    assert "all sweeps clean" not in captured.out
+    assert captured.err == "VIOLATIONS FOUND\n"

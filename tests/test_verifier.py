@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from cfasym import verifier
-from cfasym.asymmetry import TARGET_MAX, decompose, enumerate_types, extended_type
-from cfasym.cf import expand
+from cfasym.asymmetry import TARGET_MAX, decompose, enumerate_types, extended_type, type_value
+from cfasym.cf import expand, parity_by_inverse
 from cfasym.congruence import CongruenceSpec
 from cfasym.errors import DomainError
 from cfasym.exhaustive import scan_small_anticontinuants, scan_small_anticontinuants_reference
@@ -55,6 +55,31 @@ def test_identities_determinism():
     assert a.to_json() == b.to_json()
 
 
+def test_identities_reports_a_planted_parity_fault(monkeypatch):
+    def flipped(alpha, beta):
+        pred = parity_by_inverse(alpha, beta)
+        wrong = "even" if pred.predicted_parity == "odd" else "odd"
+        return dataclasses.replace(pred, predicted_parity=wrong)
+
+    monkeypatch.setattr(verifier, "parity_by_inverse", flipped)
+    report = verify_identities(30, trials=50, seed=0)
+    assert {v.kind for v in report.violations} == {"parity_prediction"}
+    assert len(report.violations) == report.checked - 50  # every pair, no trial
+
+
+def test_identities_reports_a_planted_anticontinuant_fault(monkeypatch):
+    monkeypatch.setattr(verifier, "anticontinuant", lambda q: anticontinuant(q) + 1)
+    report = verify_identities(30, trials=50, seed=0)
+    assert {v.kind for v in report.violations} == {
+        "congruence_identity", "half_bound", "reversal_antisymmetry"}
+
+
+def test_identities_reports_a_planted_euler_fault(monkeypatch):
+    monkeypatch.setattr(verifier, "euler_residual", lambda q, k, l, m, n: 1)
+    report = verify_identities(30, trials=50, seed=0)
+    assert [v.kind for v in report.violations] == ["euler_identity"] * 50
+
+
 def test_main_theorem_refined_small():
     report = verify_main_theorem(CongruenceSpec(1, 0), 120)
     assert report.ok
@@ -71,6 +96,22 @@ def test_main_theorem_rejects_bad_specs():
         verify_main_theorem(CongruenceSpec(0, 1), 100)
     with pytest.raises(DomainError):
         verify_main_theorem(CongruenceSpec(4, 0), 100, mode="loose")
+
+
+@pytest.mark.parametrize("alpha_max", [0, -3, 2.5])
+def test_main_theorem_rejects_bad_alpha_max(alpha_max):
+    with pytest.raises(DomainError, match="alpha_max"):
+        verify_main_theorem(CongruenceSpec(1, 0), alpha_max)
+
+
+@pytest.mark.parametrize("drop, add, record", [
+    ((2,), (), (7, 2, (3, 2), "type_without_root")),  # 2^2 + 2 + 1 = 7
+    ((), (3,), (7, 3, (2, 3), "root_without_type")),  # 3^2 + 3 + 1 = 13
+])
+def test_main_theorem_reports_a_planted_root_fault(plant_roots, drop, add, record):
+    plant_roots(7, drop=drop, add=add)
+    report = verify_main_theorem(CongruenceSpec(1, 0), 10)
+    assert [(v.alpha, v.beta, v.expansion, v.kind) for v in report.violations] == [record]
 
 
 def test_main_theorem_coarse_counterexamples():
@@ -179,6 +220,13 @@ def test_enumeration_reports_a_planted_miss(planted_miss):
     miss = report.violations[0]
     assert (miss.alpha, miss.beta) == (None, None)
     assert extended_type(decompose(miss.expansion)) == planted_miss
+
+
+def test_enumeration_reports_a_planted_formula_fault(monkeypatch):
+    monkeypatch.setattr(verifier, "type_value", lambda t: type_value(t) + 1)
+    report = verify_enumeration(6, 4, 6)
+    assert {v.kind for v in report.violations} == {"formula_mismatch"}
+    assert len(report.violations) == report.types == 126  # one per type instance
 
 
 def test_enumeration_reports_first_hits_in_scan_order(monkeypatch):
