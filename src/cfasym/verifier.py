@@ -5,9 +5,10 @@ all coprime pairs up to a bound, the congruence satisfied by both
 representations, the half bound on the selected representation, and the
 parity predictor, plus seeded random checks of the continuant product
 identity and reversal antisymmetry.  `verify_main_theorem` compares, modulus
-by modulus, the roots of x^2 + nx + (-1)^s with the denominators whose
-selected expansion has anticontinuant n and matching length parity; the
-finitely many certified moduli are excluded and reported.
+by modulus, the roots of x^2 + nx + (-1)^s with the denominators of the
+selected expansions that carry a type of value n and length parity s,
+composed from the type catalog; the finitely many certified moduli are
+excluded and reported.
 `verify_enumeration` checks the type catalog against every bounded quotient
 sequence with a small nonzero anticontinuant.  Reports are plain data with
 stable ordering, so equal inputs give byte-identical serializations.
@@ -19,68 +20,17 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from math import gcd
-from typing import ClassVar, Iterator, Literal, Optional
+from typing import ClassVar, Iterable, Iterator, Literal, Optional
 
-from .asymmetry import TARGET_MAX, decompose, enumerate_types, extended_type, type_value
-from .cf import alternate_expansion, expand, parity_by_inverse
+from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
+                        extended_type, type_value)
+from .cf import alternate_expansion, evaluate, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate,
                          exceptional_candidates, solve_quadratic, true_exceptions)
 from .continuants import anticontinuant, euler_residual
 from .errors import DomainError
 
 Mode = Literal["refined", "coarse"]
-
-_DEFAULT_INDEX_BOUND = 8
-_pair_index_cache: dict[int, tuple[int, dict[tuple[int, int], tuple[int, ...]]]] = {}
-
-
-def _conv_value_parity(alpha: int, beta: int) -> Optional[tuple[int, int]]:
-    """(anticontinuant, length parity) of the selected expansion, or None if not coprime.
-
-    Fused Euclidean/convergent pass: with p the continuant of all quotients
-    so far, the anticontinuant of the full sequence is K(drop last) - beta,
-    and the end-coefficient fix rewrites it to (alpha - K(drop last)) - beta
-    while flipping the parity.
-    """
-    a, b = alpha, beta
-    pm2, pm1 = 0, 1
-    first_q = 0
-    last_q = 0
-    count = 0
-    while b:
-        q, r = divmod(a, b)
-        if count == 0:
-            first_q = q
-        last_q = q
-        pm2, pm1 = pm1, q * pm1 + pm2
-        count += 1
-        a, b = b, r
-    if a != 1:
-        return None
-    value = pm2 - beta
-    parity = count % 2
-    if count >= 2 and (first_q == 1) != (last_q == 1):
-        value = (alpha - pm2) - beta
-        parity ^= 1
-    return value, parity
-
-
-def _pair_index(alpha: int, bound: int) -> dict[tuple[int, int], tuple[int, ...]]:
-    """Map (value, parity) -> denominators, for |value| <= bound; cached per alpha."""
-    cached = _pair_index_cache.get(alpha)
-    if cached is not None and cached[0] >= bound:
-        return cached[1]
-    idx: dict[tuple[int, int], list[int]] = {}
-    for beta in range(1, alpha):
-        vp = _conv_value_parity(alpha, beta)
-        if vp is None:
-            continue
-        value, parity = vp
-        if -bound <= value <= bound:
-            idx.setdefault((value, parity), []).append(beta)
-    frozen = {k: tuple(v) for k, v in idx.items()}
-    _pair_index_cache[alpha] = (bound, frozen)
-    return frozen
 
 
 @dataclass(frozen=True)
@@ -202,12 +152,16 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
 
     For every alpha <= alpha_max outside the certified exceptional set, the
     root set of x^2 + nx + (-1)^s must equal the set of denominators whose
-    selected expansion has anticontinuant n and length parity s.  In coarse
-    mode the same refined comparison runs, and additionally each modulus is
-    rechecked against the sigma-free printable (c, core) list; disagreements
-    land in `coarse_counterexamples` without affecting `violations`.
-    Excluded moduli where the refined equality fails anyway are reported as
-    `necessary_exclusions`.
+    selected expansion carries a type of `enumerate_types(n)` at core-length
+    parity s.  The roots come from `solve_quadratic`; the typed denominators
+    are composed from the catalog's types (`_typed_pairs`), so the sweep
+    compares two independent derivations.  In coarse mode the same refined
+    comparison runs, and additionally each modulus is rechecked against the
+    sigma-free printable (c, core) list, each pair composed at both sigmas;
+    disagreements land in `coarse_counterexamples` without affecting
+    `violations`.  Excluded moduli where the refined equality fails anyway
+    are reported as `necessary_exclusions`.  Bad arguments, including
+    |n| > TARGET_MAX, raise DomainError before any modulus is visited.
     """
     if mode not in ("refined", "coarse"):
         raise DomainError(f"mode must be 'refined' or 'coarse', got {mode!r}")
@@ -215,8 +169,12 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
         raise DomainError(f"alpha_max must be a positive integer, got {alpha_max!r}")
     candidates = exceptional_candidates(spec)  # also validates (n, s)
     n, s = spec.n, spec.s
-    bound = max(_DEFAULT_INDEX_BOUND, abs(n))
-    catalog = enumerate_types(n, "both") if mode == "coarse" else None
+    catalog = enumerate_types(n, "odd" if s else "even")
+    typed_of = _typed_pairs(catalog.finite_types, alpha_max)
+    if mode == "coarse":
+        listed_of = _typed_pairs([ExtendedAsymmetryType(c, core, sigma)
+                                  for c, core in catalog.coarse_pairs()
+                                  for sigma in ("even", "odd")], alpha_max)
 
     excluded = tuple(ExcludedModulus(m, certs) for m, certs in candidates.items()
                      if m <= alpha_max)
@@ -228,7 +186,7 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
 
     for alpha in range(2, alpha_max + 1):
         roots = set(solve_quadratic(spec, alpha))
-        typed = set(_pair_index(alpha, bound).get((n, s), ()))
+        typed = typed_of.get(alpha, set())
         if alpha in candidates:
             if roots != typed:
                 necessary.append(alpha)
@@ -242,28 +200,14 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
             violations.append(ViolationRecord(alpha, beta, expand(alpha, beta),
                                               "type_without_root"))
         if mode == "coarse":
-            listed = set()
-            coarse_of = {}
-            for beta in range(1, alpha):
-                if gcd(alpha, beta) != 1:
-                    continue
-                q = expand(alpha, beta)
-                if len(q) % 2 != s:
-                    continue
-                dec = decompose(q)
-                if dec.c == 0:
-                    continue
-                coarse_of[beta] = (dec.c, dec.core)
-                if catalog.contains(dec.c, dec.core, "even"):
-                    listed.add(beta)
-            for beta in sorted(roots - listed):
-                c, core = coarse_of.get(beta, (0, ()))
-                coarse_cex.append(CoarseCounterexample(alpha, beta, c, core,
-                                                       "root_without_listed_type"))
-            for beta in sorted(listed - roots):
-                c, core = coarse_of[beta]
-                coarse_cex.append(CoarseCounterexample(alpha, beta, c, core,
-                                                       "listed_type_without_root"))
+            listed = listed_of.get(alpha, set())
+            for direction, betas in (("root_without_listed_type", roots - listed),
+                                     ("listed_type_without_root", listed - roots)):
+                for beta in sorted(betas):
+                    q = expand(alpha, beta)
+                    dec = decompose(q)
+                    c, core = (dec.c, dec.core) if len(q) % 2 == s and dec.c else (0, ())
+                    coarse_cex.append(CoarseCounterexample(alpha, beta, c, core, direction))
 
     return VerificationReport(
         kind="main_theorem", alpha_min=2, alpha_max=alpha_max,
@@ -271,6 +215,43 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
         n=n, s=s, mode=mode, excluded=excluded,
         coarse_counterexamples=tuple(coarse_cex),
         necessary_exclusions=tuple(necessary))
+
+
+def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
+                 alpha_max: int) -> dict[int, set[int]]:
+    """Denominators by modulus <= alpha_max of the selected expansions carrying `types`.
+
+    The sequences of type (c, core, sigma) are exactly
+    outer + (p + (-1)^sigma * c, *core, p) + reversed(outer) with a symmetric
+    outer layer of length d = sigma (mod 2), a pivot p >= 1 and a first entry
+    >= 1.  The walk composes the inner block for each pivot and wraps it
+    depth-first in layers (a, ..., a); a continuant grows with every entry
+    and every layer, so each loop stops at its first modulus past alpha_max.
+    A sequence is the selected expansion of its (K(q), K(q[1:])) when its
+    first entry is 1 exactly when its last is, which only the unwrapped
+    block can fail.  The decomposition is unique, so no pair comes twice.
+    """
+    pairs: dict[int, set[int]] = {}
+
+    def walk(q: tuple[int, ...], depth: int, sigma: int) -> bool:
+        # record q and every wrapping of it within the bound; False if q is past it
+        alpha, beta = evaluate(q)
+        if alpha > alpha_max:
+            return False
+        if depth % 2 == sigma and (depth or (q[0] == 1) == (q[-1] == 1)):
+            pairs.setdefault(alpha, set()).add(beta)
+        a = 1
+        while walk((a, *q, a), depth + 1, sigma):
+            a += 1
+        return True
+
+    for t in types:
+        sigma = 1 if t.sigma == "odd" else 0
+        shift = -t.c if sigma else t.c
+        p = max(1, 1 - shift)
+        while walk((p + shift, *t.core, p), 0, sigma):
+            p += 1
+    return pairs
 
 
 @dataclass(frozen=True)

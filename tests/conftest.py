@@ -33,8 +33,8 @@ def planted_miss(monkeypatch):
 def plant_roots(monkeypatch):
     """Return plant(alpha, drop=(), add=()), which edits the verifier's root set at alpha.
 
-    The fault goes on the root side: the typed side comes from the verifier's
-    module-level pair index, which a monkeypatch would not reach once filled.
+    The fault goes on the root side, `solve_quadratic`; `planted_miss` plants
+    one on the typed side, which the verifier composes from its catalog.
     """
     def plant(alpha, drop=(), add=()):
         solve = verifier.solve_quadratic

@@ -368,6 +368,9 @@ GOLDEN = [
     Case("verify identities --alpha-max 5 --trials -3", 2,
          "",
          "cfasym: domain error: trials must be a non-negative integer, got -3\n"),
+    Case("verify main --n 129 --s 1", 2,
+         "",
+         "cfasym: domain error: target must be at most 128 in absolute value, got 129\n"),
     Case("verify enumeration --max-len 0", 2,
          "",
          "cfasym: domain error: bounds must be positive\n"),

@@ -4,7 +4,7 @@ import pytest
 
 from cfasym.continuants import anticontinuant
 from cfasym.errors import DomainError
-from cfasym.exhaustive import (scan_small_anticontinuants,
+from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
                                scan_small_anticontinuants_reference)
 
 
@@ -74,3 +74,12 @@ def test_scanner_validates_at_the_call():
         scan_small_anticontinuants(0, 3, 5)
     with pytest.raises(DomainError):
         scan_small_anticontinuants(80, 200, 5)
+
+
+@pytest.mark.parametrize("max_len, max_entry", [(39, 2), (61, 1)])
+def test_int64_guard_at_its_exact_boundary(max_len, max_entry):
+    # (max_entry + 1) ** max_len is just below 2^62 here and reaches it one entry
+    # longer; only the guard is called, never a scan at these bounds
+    assert _checked_bound(max_len, max_entry, 5) == 5
+    with pytest.raises(DomainError, match="exact int64 range"):
+        _checked_bound(max_len + 1, max_entry, 5)

@@ -6,25 +6,47 @@ import numpy as np
 import pytest
 
 from cfasym import verifier
-from cfasym.asymmetry import TARGET_MAX, decompose, enumerate_types, extended_type, type_value
+from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
+                              extended_type, type_value)
 from cfasym.cf import expand, parity_by_inverse
 from cfasym.congruence import CongruenceSpec
 from cfasym.errors import DomainError
 from cfasym.exhaustive import scan_small_anticontinuants, scan_small_anticontinuants_reference
-from cfasym.verifier import (_conv_value_parity, _type_keys, build_table,
-                             verify_enumeration, verify_identities, verify_main_theorem)
+from cfasym.verifier import (_type_keys, _typed_pairs, build_table, verify_enumeration,
+                             verify_identities, verify_main_theorem)
 from cfasym.continuants import anticontinuant
 
+SPECS = [CongruenceSpec(sign * n, s) for n in range(1, 7) for sign in (1, -1)
+         for s in (0, 1) if (n, s) != (2, 0)]
 
-def test_conv_value_parity_matches_expand():
-    for alpha in range(2, 120):
+
+def _flat(pairs_by_alpha):
+    return {(alpha, beta) for alpha, betas in pairs_by_alpha.items() for beta in betas}
+
+
+def test_typed_pairs_match_a_scan_of_every_pair():
+    # the oracle: every coprime pair through public expand, anticontinuant and decompose
+    by_value, by_type = {}, {}
+    for alpha in range(2, 301):
         for beta in range(1, alpha):
-            got = _conv_value_parity(alpha, beta)
             if gcd(alpha, beta) != 1:
-                assert got is None
                 continue
             q = expand(alpha, beta)
-            assert got == (anticontinuant(q), len(q) % 2)
+            parity = len(q) % 2
+            by_value.setdefault((anticontinuant(q), parity), set()).add((alpha, beta))
+            dec = decompose(q)
+            if dec.c:
+                by_type.setdefault((parity, dec.c, dec.core), set()).add((alpha, beta))
+    assert len(SPECS) == 22
+    for spec in SPECS:
+        catalog = enumerate_types(spec.n, "odd" if spec.s else "even")
+        typed = _flat(_typed_pairs(catalog.finite_types, 300))
+        assert typed == by_value[(spec.n, spec.s)], spec
+        pairs = catalog.coarse_pairs()
+        coarse_types = [ExtendedAsymmetryType(c, core, sigma)
+                        for c, core in pairs for sigma in ("even", "odd")]
+        listed = set().union(*(by_type.get((spec.s, c, core), set()) for c, core in pairs))
+        assert _flat(_typed_pairs(coarse_types, 300)) == listed, spec
 
 
 def test_identities_small_sweep():
@@ -96,6 +118,8 @@ def test_main_theorem_rejects_bad_specs():
         verify_main_theorem(CongruenceSpec(0, 1), 100)
     with pytest.raises(DomainError):
         verify_main_theorem(CongruenceSpec(4, 0), 100, mode="loose")
+    with pytest.raises(DomainError, match="at most 128"):
+        verify_main_theorem(CongruenceSpec(TARGET_MAX + 1, 1), 100)
 
 
 @pytest.mark.parametrize("alpha_max", [0, -3, 2.5])
@@ -112,6 +136,42 @@ def test_main_theorem_reports_a_planted_root_fault(plant_roots, drop, add, recor
     plant_roots(7, drop=drop, add=add)
     report = verify_main_theorem(CongruenceSpec(1, 0), 10)
     assert [(v.alpha, v.beta, v.expansion, v.kind) for v in report.violations] == [record]
+
+
+@pytest.mark.parametrize("alpha, beta, expansion", [
+    (10, 3, (3, 3)),     # symmetric
+    (11, 3, (3, 1, 2)),  # (c, core) = (1, (1,)), but of odd length
+])
+def test_main_theorem_coarse_gives_no_type_to_a_root_outside_parity_s(
+        plant_roots, alpha, beta, expansion):
+    plant_roots(alpha, add=(beta,))
+    report = verify_main_theorem(CongruenceSpec(1, 0), alpha, mode="coarse")
+    assert report.violations == (
+        verifier.ViolationRecord(alpha, beta, expansion, "root_without_type"),)
+    assert report.coarse_counterexamples == (
+        verifier.CoarseCounterexample(alpha, beta, 0, (), "root_without_listed_type"),)
+
+
+def test_main_theorem_reports_a_planted_type_miss(planted_miss):
+    report = verify_main_theorem(CongruenceSpec(4, 0), 100)
+    assert report.violations[0] == verifier.ViolationRecord(
+        26, 7, (3, 1, 2, 2), "root_without_type")
+    assert {v.kind for v in report.violations} == {"root_without_type"}
+    assert {extended_type(decompose(v.expansion)) for v in report.violations} == {planted_miss}
+
+
+def test_main_theorem_reports_a_planted_extra_type(monkeypatch):
+    extra = ExtendedAsymmetryType(1, (), "even")  # value 1, not 4
+
+    def catalog_with_extra(n, lambda_parity="both"):
+        catalog = enumerate_types(n, lambda_parity)
+        return dataclasses.replace(catalog, finite_types=catalog.finite_types | {extra})
+
+    monkeypatch.setattr(verifier, "enumerate_types", catalog_with_extra)
+    report = verify_main_theorem(CongruenceSpec(4, 0), 100)
+    assert report.violations[0] == verifier.ViolationRecord(13, 3, (4, 3), "type_without_root")
+    assert {v.kind for v in report.violations} == {"type_without_root"}
+    assert {extended_type(decompose(v.expansion)) for v in report.violations} == {extra}
 
 
 def test_main_theorem_coarse_counterexamples():
