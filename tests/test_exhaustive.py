@@ -33,6 +33,7 @@ def test_scanner_matches_reference(max_len, max_entry, value_bound):
 @pytest.mark.parametrize("max_len, max_entry, value_bound, count, digest", [
     (9, 5, 8, 25_782, "c8c64bf38fbf3dc8f258fa03b5846471253d96260c6d46d13f05cf038524c6d6"),
     (8, 6, 6, 18_782, "2329a575b70be97902744c09c69f2a6bba34da06f4e7dfd906ef50c529f95e1b"),
+    (10, 8, 8, 609_982, "a7a7acf6c45407cfdea5fe7ac3d2229b3058152fbaac0d88ea36d3c0d1dcead0"),
 ])
 def test_scanner_order_is_pinned(max_len, max_entry, value_bound, count, digest):
     hits = list(scan_small_anticontinuants(max_len, max_entry, value_bound))
