@@ -5,7 +5,7 @@ Scans every quotient sequence up to the given length and entry bounds,
 keeps those whose anticontinuant value is small and nonzero, and confirms
 that each one's extended type appears in the enumerated catalog for its
 value (`cfasym.verify_enumeration`).  Exits 1 and prints the offenders if
-any sequence is missed.
+any sequence is missed: the first 50 to stderr, then how many more there are.
 """
 
 import argparse
@@ -13,6 +13,8 @@ import sys
 import time
 
 from cfasym import verify_enumeration
+
+_SHOWN_MISSES = 50
 
 
 def main() -> int:
@@ -28,8 +30,10 @@ def main() -> int:
           f"{args.max_entry}: {report.hits} hits, {report.types} distinct type "
           f"instances [{time.perf_counter() - t0:.1f}s]")
     if not report.ok:
-        for v in report.violations[:50]:
+        for v in report.violations[:_SHOWN_MISSES]:
             print(f"MISS seq={v.expansion}: {v.kind.replace('_', ' ')}", file=sys.stderr)
+        if len(report.violations) > _SHOWN_MISSES:
+            print(f"  ... and {len(report.violations) - _SHOWN_MISSES} more", file=sys.stderr)
         return 1
     print("enumeration complete: no misses")
     return 0

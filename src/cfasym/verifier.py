@@ -287,14 +287,15 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     if bound > TARGET_MAX:
         raise DomainError(f"value_bound must be at most {TARGET_MAX}, got {value_bound}")
     batches = _scan_batches(max_len, max_entry, bound)
+    weights = [_core_weights(length, max_entry + 1) for length in range(max_len + 1)]
     catalogs = {}
     seen = set()
     violations: list[ViolationRecord] = []
     hits = 0
     for rows, values in batches:
         hits += values.size
-        keys = _type_keys(rows, values, max_entry + 1)
-        for i, key in enumerate(map(tuple, keys.tolist())):
+        keys = _type_keys(rows, values, weights[rows.shape[1]])
+        for i, key in enumerate(zip(*keys.T.tolist())):
             if key in seen:
                 continue
             seen.add(key)
@@ -311,15 +312,30 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     return EnumerationReport(hits, len(seen), tuple(violations))
 
 
-def _type_keys(rows, values, base: int):
+def _core_weights(length: int, base: int):
+    """Row d packs the core of a depth-d sequence of this length (L x L).
+
+    Entry i of the core q[d+1 : L-1-d] weighs base^(L-2-d-i), so the core
+    reads as a number in `base` > every entry, first entry most significant;
+    entries outside it weigh 0.
+    """
+    import numpy as np
+
+    cols = np.arange(length)
+    exponents = (length - 2 - cols)[:, None] - cols
+    inside = (exponents >= 0) & (cols > cols[:, None])
+    return np.where(inside, base ** np.maximum(exponents, 0), 0)
+
+
+def _type_keys(rows, values, weights):
     """Rows (c, packed core, sigma, value) for a batch of asymmetric sequences of one length.
 
     This is `decompose` in numpy: the depth d is each row's first mismatch
     with its reverse, c = (q[d] - q[L-1-d]) * (-1)^d, sigma = d % 2, and the
-    core q[d+1 : L-1-d] is read as a number in `base` > every entry, first
-    entry most significant.  Entries are at least 1, so the number also fixes
-    the core's length, and it is below base^L, which the scanner's guard
-    keeps under 2^62.
+    core is packed by row d of `weights`, the `_core_weights` of the rows'
+    length.  Entries are at least 1, so the number also fixes the core's
+    length, and it is below base^L, which the scanner's guard keeps under
+    2^62.
     """
     import numpy as np
 
@@ -327,12 +343,7 @@ def _type_keys(rows, values, base: int):
     d = np.argmax(rows != rows[:, ::-1], axis=1)
     at = np.arange(k)
     c = (rows[at, d] - rows[at, length - 1 - d]) * (1 - 2 * (d % 2))
-    # entry i of the core weighs base^(L-2-d-i); entries outside it weigh 0
-    cols = np.arange(length)
-    exponents = (length - 2 - d)[:, None] - cols
-    inside = (exponents >= 0) & (cols > d[:, None])
-    weights = np.where(inside, base ** np.maximum(exponents, 0), 0)
-    packed = (rows * weights).sum(axis=1)
+    packed = (rows * weights[d]).sum(axis=1)
     return np.stack([c, packed, d % 2, values], axis=1)
 
 

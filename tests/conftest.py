@@ -30,6 +30,21 @@ def planted_miss(monkeypatch):
 
 
 @pytest.fixture
+def no_sigma_odd(monkeypatch):
+    """Drop every sigma-odd finite type from the verifier's catalogs; return the catalog maker.
+
+    Many instances miss then, not just one: 64 at the bounds (7, 4, 6).
+    """
+    def catalog_without_sigma_odd(n, lambda_parity="both"):
+        catalog = enumerate_types(n, lambda_parity)
+        kept = frozenset(t for t in catalog.finite_types if t.sigma == "even")
+        return dataclasses.replace(catalog, finite_types=kept)
+
+    monkeypatch.setattr(verifier, "enumerate_types", catalog_without_sigma_odd)
+    return catalog_without_sigma_odd
+
+
+@pytest.fixture
 def plant_roots(monkeypatch):
     """Return plant(alpha, drop=(), add=()), which edits the verifier's root set at alpha.
 

@@ -22,6 +22,11 @@ from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
     (6, 5, 20),
     (5, 8, 8),        # (1, 1, 3, 4, 2), value -8
     (7, 4, 100),
+    # the last level solved from its parents (one-sided, at least two levels):
+    (5, 4, 1),        # from the 3-entry prefix itself
+    (7, 6, 4),        # from a deeper parent level
+    # built and tested, though the bound is the smallest:
+    (4, 6, 1),        # one level, two-sided: F(2) = 1 does not pass B = 1
 ])
 def test_scanner_matches_reference(max_len, max_entry, value_bound):
     fast = sorted(scan_small_anticontinuants(max_len, max_entry, value_bound))

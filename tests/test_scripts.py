@@ -33,6 +33,17 @@ def test_scan_enumeration_script_reports_misses(capsys, monkeypatch, planted_mis
     assert re.search(r"^MISS seq=\(.*\): missing from catalog$", captured.err, re.M)
 
 
+def test_scan_enumeration_script_counts_unprinted_misses(capsys, monkeypatch, no_sigma_odd):
+    argv = ["--max-len", "7", "--max-entry", "4", "--value-bound", "6"]
+    monkeypatch.setattr(sys, "argv", [str(SCAN_SCRIPT), *argv])
+    main = runpy.run_path(str(SCAN_SCRIPT), run_name="scan_enumeration")["main"]
+    assert main() == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 51  # 50 of the 64 misses, then the count of the rest
+    assert all(line.startswith("MISS seq=") for line in err[:50])
+    assert err[-1] == "  ... and 14 more"
+
+
 def _run_verification(monkeypatch, out):
     argv = ["--identities-alpha-max", "30", "--trials", "50", "--alpha-max", "60",
             "--n-max", "2", "--out", str(out)]

@@ -12,8 +12,8 @@ from cfasym.cf import expand, parity_by_inverse
 from cfasym.congruence import CongruenceSpec
 from cfasym.errors import DomainError
 from cfasym.exhaustive import scan_small_anticontinuants, scan_small_anticontinuants_reference
-from cfasym.verifier import (_type_keys, _typed_pairs, build_table, verify_enumeration,
-                             verify_identities, verify_main_theorem)
+from cfasym.verifier import (_core_weights, _type_keys, _typed_pairs, build_table,
+                             verify_enumeration, verify_identities, verify_main_theorem)
 from cfasym.continuants import anticontinuant
 
 SPECS = [CongruenceSpec(sign * n, s) for n in range(1, 7) for sign in (1, -1)
@@ -289,14 +289,7 @@ def test_enumeration_reports_a_planted_formula_fault(monkeypatch):
     assert len(report.violations) == report.types == 126  # one per type instance
 
 
-def test_enumeration_reports_first_hits_in_scan_order(monkeypatch):
-    # without the sigma-odd finite types, many instances miss, not just one
-    def catalog_without_sigma_odd(n, lambda_parity="both"):
-        catalog = enumerate_types(n, lambda_parity)
-        kept = frozenset(t for t in catalog.finite_types if t.sigma == "even")
-        return dataclasses.replace(catalog, finite_types=kept)
-
-    monkeypatch.setattr(verifier, "enumerate_types", catalog_without_sigma_odd)
+def test_enumeration_reports_first_hits_in_scan_order(no_sigma_odd):
     seen = set()
     expected = []
     for q, value in scan_small_anticontinuants(6, 4, 6):
@@ -305,7 +298,7 @@ def test_enumeration_reports_first_hits_in_scan_order(monkeypatch):
         if key in seen:
             continue
         seen.add(key)
-        if not catalog_without_sigma_odd(value).contains(dec.c, dec.core, dec.sigma):
+        if not no_sigma_odd(value).contains(dec.c, dec.core, dec.sigma):
             expected.append(q)
     report = verify_enumeration(6, 4, 6)
     assert len(expected) > 1
@@ -349,7 +342,8 @@ def test_type_keys_match_decompose(max_len, max_entry, value_bound):
     for hits in by_length.values():
         rows = np.array([q for q, _ in hits], dtype=np.int64)
         values = np.array([v for _, v in hits], dtype=np.int64)
-        for (q, value), key in zip(hits, _type_keys(rows, values, base).tolist()):
+        weights = _core_weights(rows.shape[1], base)
+        for (q, value), key in zip(hits, _type_keys(rows, values, weights).tolist()):
             dec = decompose(q)
             packed = 0
             for e in dec.core:
