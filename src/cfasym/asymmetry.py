@@ -19,8 +19,7 @@ parametric rather than materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional
+from typing import Iterator, Literal, NamedTuple, Optional
 
 from .continuants import _check_entries, _continuant, fibonacci
 from .errors import DomainError
@@ -33,8 +32,7 @@ TARGET_MAX = 128  # largest |n| enumerate_types lists (about half a second)
 _SIGMA_ORDER = {"even": 0, "odd": 1}
 
 
-@dataclass(frozen=True)
-class AsymmetryDecomposition:
+class AsymmetryDecomposition(NamedTuple):
     """Unique split of a sequence into outer layer, marginal entry, core, pivot.
 
     For symmetric sequences c = 0, pivot is None, the core is empty (even
@@ -53,8 +51,7 @@ class AsymmetryDecomposition:
         return "even" if self.depth % 2 == 0 else "odd"
 
 
-@dataclass(frozen=True)
-class ExtendedAsymmetryType:
+class ExtendedAsymmetryType(NamedTuple):
     """Marginal asymmetry, core, and outer-depth parity; determines the value."""
 
     c: int
@@ -65,8 +62,7 @@ class ExtendedAsymmetryType:
         return (len(self.core), self.c, self.core, _SIGMA_ORDER[self.sigma])
 
 
-@dataclass(frozen=True)
-class ParametricFamily:
+class ParametricFamily(NamedTuple):
     """A core pattern with one free positive slot, written None, e.g. (1; p,1)."""
 
     c: int
@@ -86,12 +82,11 @@ class ParametricFamily:
         return (len(self.pattern), self.c, lex, _SIGMA_ORDER[self.sigma])
 
 
-@dataclass(frozen=True)
-class TypeCatalog:
+class TypeCatalog(NamedTuple):
     """Every extended type (and parametric family) achieving a target value."""
 
     finite_types: frozenset[ExtendedAsymmetryType]
-    families: frozenset[ParametricFamily] = field(default_factory=frozenset)
+    families: frozenset[ParametricFamily] = frozenset()
 
     def members(self) -> tuple[ExtendedAsymmetryType, ...]:
         return tuple(sorted(self.finite_types, key=ExtendedAsymmetryType.sort_key))

@@ -11,9 +11,8 @@ for which both representations qualify is (2, 1), where the Euclidean form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Literal
+from typing import Literal, NamedTuple
 
 from .continuants import _check_entries, _continuant
 from .errors import DomainError
@@ -21,8 +20,7 @@ from .errors import DomainError
 Parity = Literal["even", "odd"]
 
 
-@dataclass(frozen=True)
-class ParityPrediction:
+class ParityPrediction(NamedTuple):
     """Length parity of an expansion, predicted from a modular inverse."""
 
     u: int

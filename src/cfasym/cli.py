@@ -9,13 +9,13 @@ to stderr.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from . import asymmetry, cf, congruence, continuants, verifier
 from .errors import DomainError
+from .verifier import as_plain
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -42,8 +42,7 @@ def _seq_str(q) -> str:
     return ",".join(str(e) for e in q)
 
 
-@dataclass
-class _Result:
+class _Result(NamedTuple):
     text: str
     payload: object
     table: tuple | None = None  # (columns, rows), for subcommands with CSV output
@@ -75,7 +74,7 @@ def _cmd_expand(args) -> _Result:
     if args.predict_parity:
         _refuse_unread("--predict-parity", (("--parity", args.parity is not None),))
         pred = cf.parity_by_inverse(args.alpha, args.beta)
-        return _Result(pred.predicted_parity, asdict(pred))
+        return _Result(pred.predicted_parity, as_plain(pred))
     if args.parity in (None, "conv"):
         q = cf.expand(args.alpha, args.beta)
     else:
@@ -194,7 +193,7 @@ def _cmd_exceptional(args) -> _Result:
                        {"pairs": [list(p) for p in pairs]}, (("alpha", "beta"), pairs))
     cands = congruence.exceptional_candidates(spec)
     if args.certificates:
-        payload = {str(m): [asdict(c) for c in certs] for m, certs in cands.items()}
+        payload = {str(m): [as_plain(c) for c in certs] for m, certs in cands.items()}
         text = "\n".join(
             f"{m}: " + "; ".join(
                 c.condition + (f"({c.witness})" if c.witness is not None else "")
@@ -210,10 +209,10 @@ def _cmd_folded(args) -> _Result:
     normalized = congruence.folded_normalize(params)
     if args.normalize_only:
         return _Result(f"b={normalized.b} n={normalized.n} a={normalized.a} "
-                       f"eps={normalized.epsilon:+d}", asdict(normalized))
+                       f"eps={normalized.epsilon:+d}", as_plain(normalized))
     seq, form = congruence.folded_expand_classify(normalized)
     payload = {"alpha": normalized.alpha, "beta": normalized.beta,
-               "quotients": list(seq), **asdict(form)}
+               "quotients": list(seq), **as_plain(form)}
     return _Result(f"{_seq_str(seq)} form={form.form} x={form.x} pivot={form.pivot}",
                    payload)
 
@@ -222,7 +221,7 @@ def _cmd_verify(args) -> _Result:
     if args.suite == "enumeration":
         report = verifier.verify_enumeration(args.max_len, args.max_entry, args.value_bound)
         head, payload = (f"hits={report.hits} types={report.types}",
-                         {**asdict(report), "ok": report.ok})
+                         {**as_plain(report), "ok": report.ok})
     else:
         if args.suite == "identities":
             report = verifier.verify_identities(args.alpha_max, trials=args.trials,
@@ -249,7 +248,7 @@ def _cmd_verify(args) -> _Result:
 
 def _cmd_table(args) -> _Result:
     doc = verifier.build_table(args.n_max)
-    return _Result(doc.to_text().rstrip("\n"), asdict(doc), (doc.columns, doc.csv_rows()))
+    return _Result(doc.to_text().rstrip("\n"), as_plain(doc), (doc.columns, doc.csv_rows()))
 
 
 def build_parser() -> _Parser:
@@ -369,6 +368,8 @@ def main(argv=None) -> int:
         return DOMAIN_EXIT
 
     if fmt == "json":
+        import json  # only JSON output reads it; kept out of start-up
+
         print(json.dumps(result.payload, sort_keys=True))
     elif fmt == "csv":
         if result.table is None:

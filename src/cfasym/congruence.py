@@ -9,10 +9,9 @@ with its three quotient patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate, chain, cycle
 from math import gcd, isqrt
-from typing import Literal, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .asymmetry import AsymmetryDecomposition, decompose
 from .cf import representations
@@ -24,18 +23,26 @@ Condition = Literal["small_alpha", "gamma_condition", "eta_condition"]
 ALPHA_MAX = 10**14  # largest modulus solve_quadratic factors (trial division)
 
 
-@dataclass(frozen=True)
-class CongruenceSpec:
-    """The pair (n, s) defining x^2 + nx + (-1)^s = 0 (mod alpha), s in {0, 1}."""
-
+class _SpecFields(NamedTuple):
     n: int
     s: int
 
-    def __post_init__(self):
-        if not isinstance(self.n, int):
-            raise DomainError(f"n must be an integer, got {self.n!r}")
-        if self.s not in (0, 1):
-            raise DomainError(f"s must be 0 or 1, got {self.s!r}")
+
+class CongruenceSpec(_SpecFields):
+    """The pair (n, s) defining x^2 + nx + (-1)^s = 0 (mod alpha), s in {0, 1}."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, s: int):
+        if not isinstance(n, int):
+            raise DomainError(f"n must be an integer, got {n!r}")
+        if s not in (0, 1):
+            raise DomainError(f"s must be 0 or 1, got {s!r}")
+        return super().__new__(cls, n, s)
+
+    @classmethod
+    def _make(cls, iterable):  # _replace builds through _make, so it validates too
+        return cls(*iterable)
 
     @property
     def unit(self) -> int:
@@ -45,33 +52,39 @@ class CongruenceSpec:
         return CongruenceSpec(-self.n, self.s)
 
 
-@dataclass(frozen=True)
-class ExceptionalCertificate:
+class ExceptionalCertificate(NamedTuple):
     """Which excluding condition a modulus satisfies, with its witness if any."""
 
     condition: Condition
     witness: Optional[int] = None
 
 
-@dataclass(frozen=True)
-class FoldedParams:
-    """Parameters (b, n, a, epsilon) of the fraction b*n^2 / (b*a*n - epsilon).
-
-    Normalization moves gcd(a, n)^2 into b, so b need not stay square-free.
-    """
-
+class _FoldedFields(NamedTuple):
     b: int
     n: int
     a: int
     epsilon: int
 
-    def __post_init__(self):
-        for name in ("b", "n", "a"):
-            v = getattr(self, name)
+
+class FoldedParams(_FoldedFields):
+    """Parameters (b, n, a, epsilon) of the fraction b*n^2 / (b*a*n - epsilon).
+
+    Normalization moves gcd(a, n)^2 into b, so b need not stay square-free.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, b: int, n: int, a: int, epsilon: int):
+        for name, v in (("b", b), ("n", n), ("a", a)):
             if not isinstance(v, int) or v < 1:
                 raise DomainError(f"{name} must be a positive integer, got {v!r}")
-        if self.epsilon not in (1, -1):
-            raise DomainError(f"epsilon must be +1 or -1, got {self.epsilon!r}")
+        if epsilon not in (1, -1):
+            raise DomainError(f"epsilon must be +1 or -1, got {epsilon!r}")
+        return super().__new__(cls, b, n, a, epsilon)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def alpha(self) -> int:
@@ -82,8 +95,7 @@ class FoldedParams:
         return self.b * self.a * self.n - self.epsilon
 
 
-@dataclass(frozen=True)
-class FoldedForm:
+class FoldedForm(NamedTuple):
     """Which of the three folded quotient patterns matched.
 
     Pattern cores, reading the two marked end entries as (first, pivot):

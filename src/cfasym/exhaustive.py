@@ -83,7 +83,7 @@ def scan_small_anticontinuants(max_len: int, max_entry: int,
     batches = _scan_batches(max_len, max_entry,
                             _checked_bound(max_len, max_entry, value_bound))
     return ((seq, value) for rows, values in batches
-            for seq, value in zip(map(tuple, rows.tolist()), values.tolist()))
+            for seq, value in zip(zip(*rows.T.tolist()), values.tolist()))
 
 
 def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:

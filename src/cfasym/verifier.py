@@ -16,11 +16,8 @@ stable ordering, so equal inputs give byte-identical serializations.
 
 from __future__ import annotations
 
-import json
-import random
-from dataclasses import asdict, dataclass
 from math import gcd
-from typing import ClassVar, Iterable, Iterator, Literal, Optional
+from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
                         extended_type, type_value)
@@ -33,16 +30,14 @@ from .errors import DomainError
 Mode = Literal["refined", "coarse"]
 
 
-@dataclass(frozen=True)
-class ViolationRecord:
+class ViolationRecord(NamedTuple):
     alpha: Optional[int]
     beta: Optional[int]
     expansion: Optional[tuple[int, ...]]
     kind: str
 
 
-@dataclass(frozen=True)
-class CoarseCounterexample:
+class CoarseCounterexample(NamedTuple):
     alpha: int
     beta: int
     marginal: int
@@ -50,14 +45,12 @@ class CoarseCounterexample:
     direction: str
 
 
-@dataclass(frozen=True)
-class ExcludedModulus:
+class ExcludedModulus(NamedTuple):
     modulus: int
     certificates: tuple[ExceptionalCertificate, ...]
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Per-modulus reconciliation results; violations empty means the sweep held."""
 
     kind: str
@@ -86,10 +79,12 @@ class VerificationReport:
         else:
             other = ("n", "s", "mode", "excluded", "coarse_counterexamples",
                      "necessary_exclusions")
-        out = {k: v for k, v in asdict(self).items() if k not in other}
+        out = {k: v for k, v in as_plain(self).items() if k not in other}
         return {**out, "ok": self.ok}
 
     def to_json(self) -> str:
+        import json  # kept out of CLI start-up, like random
+
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
@@ -125,6 +120,8 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
             actual = "odd" if len(conv) % 2 else "even"
             if predicted != actual:
                 violations.append(ViolationRecord(alpha, beta, conv, "parity_prediction"))
+
+    import random  # only this sweep reads it; kept out of CLI start-up
 
     rng = random.Random(seed)
     for _ in range(trials):
@@ -254,8 +251,7 @@ def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
     return pairs
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(NamedTuple):
     """Hits and distinct type instances met; violations empty means the check held."""
 
     hits: int
@@ -347,29 +343,26 @@ def _type_keys(rows, values, weights):
     return np.stack([c, packed, d % 2, values], axis=1)
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """One printable type row: marginal asymmetry and core (or pattern) text."""
 
     marginal: int
     core: str
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     value: int
     parity: str
     entries: tuple[TableEntry, ...]
     exceptions: tuple[tuple[int, int], ...]
 
 
-@dataclass(frozen=True)
-class TableDocument:
+class TableDocument(NamedTuple):
     """Catalog table for values 1..n_max, both core-length parities."""
 
     n_max: int
     rows: tuple[TableRow, ...]
-    columns: ClassVar[tuple[str, ...]] = ("value", "parity", "marginal", "core", "exceptions")
+    columns = ("value", "parity", "marginal", "core", "exceptions")
 
     def csv_rows(self) -> Iterator[tuple]:
         """Cells under `columns`; exception pairs are written 'a:b'."""
@@ -395,6 +388,15 @@ def render_csv(columns, rows) -> str:
     """The one CSV writer: a header line, then one line per row; a comma in a cell becomes '.'."""
     return "".join(",".join(str(cell).replace(",", ".") for cell in row) + "\n"
                    for row in (columns, *rows))
+
+
+def as_plain(value):
+    """Records as dicts of their fields, recursively; tuples and lists keep their type."""
+    if hasattr(value, "_fields"):
+        return {k: as_plain(v) for k, v in zip(value._fields, value)}
+    if isinstance(value, (tuple, list)):
+        return type(value)(as_plain(v) for v in value)
+    return value
 
 
 def build_table(n_max: int) -> TableDocument:

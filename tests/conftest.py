@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import sys
 
@@ -23,7 +22,7 @@ def planted_miss(monkeypatch):
 
     def catalog_without(n, lambda_parity="both"):
         catalog = enumerate_types(n, lambda_parity)
-        return dataclasses.replace(catalog, finite_types=catalog.finite_types - {dropped})
+        return catalog._replace(finite_types=catalog.finite_types - {dropped})
 
     monkeypatch.setattr(verifier, "enumerate_types", catalog_without)
     return dropped
@@ -38,7 +37,7 @@ def no_sigma_odd(monkeypatch):
     def catalog_without_sigma_odd(n, lambda_parity="both"):
         catalog = enumerate_types(n, lambda_parity)
         kept = frozenset(t for t in catalog.finite_types if t.sigma == "even")
-        return dataclasses.replace(catalog, finite_types=kept)
+        return catalog._replace(finite_types=kept)
 
     monkeypatch.setattr(verifier, "enumerate_types", catalog_without_sigma_odd)
     return catalog_without_sigma_odd

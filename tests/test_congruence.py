@@ -161,6 +161,27 @@ def test_folded_params_validation():
         FoldedParams(1, 2, 1, 2)
 
 
+@pytest.mark.parametrize("good, bad", [
+    (CongruenceSpec(1, 0), {"s": 5}),
+    (CongruenceSpec(1, 0), {"n": 1.5}),
+    (FoldedParams(1, 1, 1, 1), {"epsilon": 9}),
+    (FoldedParams(1, 1, 1, 1), {"a": 0}),
+])
+def test_validated_records_refuse_bad_fields_on_every_path(good, bad):
+    record = type(good)
+    fields = {**good._asdict(), **bad}
+    with pytest.raises(DomainError):
+        record(*fields.values())
+    with pytest.raises(DomainError):
+        record(**fields)
+    with pytest.raises(DomainError):
+        good._replace(**bad)
+    with pytest.raises(DomainError):
+        record._make(fields.values())
+    kept = good._replace()
+    assert kept == good and type(kept) is record
+
+
 def test_folded_classify_examples():
     seq, form = folded_expand_classify(FoldedParams(1, 5, 2, 1))
     assert seq == (2, 1, 3, 2) and (form.form, form.x, form.pivot) == (1, None, 3)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 from math import gcd
 
@@ -9,7 +8,7 @@ from cfasym import verifier
 from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
                               extended_type, type_value)
 from cfasym.cf import expand, parity_by_inverse
-from cfasym.congruence import CongruenceSpec
+from cfasym.congruence import CongruenceSpec, ExceptionalCertificate
 from cfasym.errors import DomainError
 from cfasym.exhaustive import scan_small_anticontinuants, scan_small_anticontinuants_reference
 from cfasym.verifier import (_core_weights, _type_keys, _typed_pairs, build_table,
@@ -81,7 +80,7 @@ def test_identities_reports_a_planted_parity_fault(monkeypatch):
     def flipped(alpha, beta):
         pred = parity_by_inverse(alpha, beta)
         wrong = "even" if pred.predicted_parity == "odd" else "odd"
-        return dataclasses.replace(pred, predicted_parity=wrong)
+        return pred._replace(predicted_parity=wrong)
 
     monkeypatch.setattr(verifier, "parity_by_inverse", flipped)
     report = verify_identities(30, trials=50, seed=0)
@@ -165,7 +164,7 @@ def test_main_theorem_reports_a_planted_extra_type(monkeypatch):
 
     def catalog_with_extra(n, lambda_parity="both"):
         catalog = enumerate_types(n, lambda_parity)
-        return dataclasses.replace(catalog, finite_types=catalog.finite_types | {extra})
+        return catalog._replace(finite_types=catalog.finite_types | {extra})
 
     monkeypatch.setattr(verifier, "enumerate_types", catalog_with_extra)
     report = verify_main_theorem(CongruenceSpec(4, 0), 100)
@@ -215,6 +214,24 @@ def test_report_json_round_trip():
     excluded = {e["modulus"] for e in data["excluded"]}
     assert excluded == {1, 2, 3, 4, 5, 6, 7, 8, 11, 12}
     assert all(e["certificates"] for e in data["excluded"])
+
+
+def test_report_dict_keeps_tuples_and_lists():
+    # records become dicts at every depth; sequences keep their type
+    violation = verifier.ViolationRecord(7, 2, (3, 2), "root_without_type")
+    certificate = ExceptionalCertificate("gamma_condition", 1)
+    report = verifier.VerificationReport(
+        kind="main_theorem", alpha_min=2, alpha_max=9, checked=3, matches=2,
+        violations=(violation,), n=1, s=0, mode="refined",
+        excluded=(verifier.ExcludedModulus(3, (certificate,)),), necessary_exclusions=(3,))
+    data = report.to_dict()
+    plain_violation = {"alpha": 7, "beta": 2, "expansion": (3, 2), "kind": "root_without_type"}
+    assert data["violations"] == (plain_violation,)
+    assert type(data["violations"][0]["expansion"]) is tuple
+    assert data["excluded"] == ({"modulus": 3, "certificates": (
+        {"condition": "gamma_condition", "witness": 1},)},)
+    assert data["necessary_exclusions"] == (3,) and data["coarse_counterexamples"] == ()
+    assert verifier.as_plain([violation, (violation,)]) == [plain_violation, (plain_violation,)]
 
 
 def test_report_json_keeps_only_its_kinds_fields():
