@@ -1,3 +1,4 @@
+import hashlib
 import json
 from math import gcd
 
@@ -321,6 +322,21 @@ def test_enumeration_reports_first_hits_in_scan_order(no_sigma_odd):
     assert len(expected) > 1
     assert {v.kind for v in report.violations} == {"missing_from_catalog"}
     assert [v.expansion for v in report.violations] == expected
+
+
+def test_enumeration_report_bytes_are_pinned(monkeypatch, no_sigma_odd):
+    # clean reports, sigma-odd-refusing catalogs and a planted formula fault:
+    # the violations are the first hits of each instance in scan order, so
+    # this pins that order as well as the counts
+    reports = [verify_enumeration(7, 4, 6), verify_enumeration(8, 5, 6)]
+    monkeypatch.setattr(verifier, "enumerate_types", enumerate_types)
+    reports += [verify_enumeration(*bounds) for bounds in
+                [(6, 5, 2), (6, 5, 20), (5, 8, 8), (7, 4, 30), (9, 5, 8)]]
+    monkeypatch.setattr(verifier, "type_value", lambda t: type_value(t) + 1)
+    reports.append(verify_enumeration(6, 5, 8))
+    assert [len(r.violations) for r in reports] == [64, 76, 0, 0, 0, 0, 0, 224]
+    digest = hashlib.sha256(repr(reports).encode()).hexdigest()
+    assert digest == "c9995f4b209878630c0355bd4f8d1733d11875298a8a8cec04d2b239112cdfae"
 
 
 def _counting_catalogs(monkeypatch):
