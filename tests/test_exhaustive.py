@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from cfasym.continuants import anticontinuant
+from cfasym.continuants import anticontinuant, fibonacci
 from cfasym.errors import DomainError
 from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
                                scan_small_anticontinuants_reference)
@@ -27,12 +27,30 @@ from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
     (7, 6, 4),        # from a deeper parent level
     # built and tested, though the bound is the smallest:
     (4, 6, 1),        # one level, two-sided: F(2) = 1 does not pass B = 1
+    # a later q1 reuses the one-sided hits of its (q2, q3) from q1 = 1:
+    (8, 4, 6),        # a non-empty solved level with hits where x != q2
+    (8, 3, 4),        # three two-sided levels above two one-sided ones
 ])
 def test_scanner_matches_reference(max_len, max_entry, value_bound):
     fast = sorted(scan_small_anticontinuants(max_len, max_entry, value_bound))
     slow = sorted(scan_small_anticontinuants_reference(max_len, max_entry, value_bound))
     assert fast == slow
     assert len(fast) > 0 or max_entry == 1
+
+
+@pytest.mark.parametrize("max_len, max_entry, value_bound", [(8, 3, 4), (8, 4, 6)])
+def test_one_sided_hits_do_not_depend_on_the_first_entry(max_len, max_entry, value_bound):
+    # a hit of length L whose parent's R = K(q3..) and Qp = K(q2..) are
+    # continuants of L - 3 entries, hence >= F(L - 2) > B, is the child
+    # e = q1 with value -A(q2..), whatever q1 is; the scanner reuses them
+    middles = {a: set() for a in range(1, max_entry + 1)}
+    for q, value in scan_small_anticontinuants_reference(max_len, max_entry, value_bound):
+        if fibonacci(len(q) - 2) > value_bound:
+            assert q[-1] == q[0]
+            assert value == -anticontinuant(q[1:-1])
+            middles[q[0]].add((q[1:-1], value))
+    assert middles[1]
+    assert all(found == middles[1] for found in middles.values())
 
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound, count, digest", [

@@ -1,12 +1,15 @@
+import os
 import re
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 from cfasym.exhaustive import scan_small_anticontinuants_reference
 from cfasym.verifier import build_table, verify_identities
 
-SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
 SCAN_SCRIPT = SCRIPTS / "scan_enumeration.py"
 RUN_SCRIPT = SCRIPTS / "run_verification.py"
 
@@ -21,6 +24,16 @@ def test_scan_enumeration_script_small_bounds(capsys, monkeypatch):
     found = re.search(r"(\d+) hits, (\d+) distinct type instances", out)
     assert found is not None
     assert int(found[1]) == sum(1 for _ in scan_small_anticontinuants_reference(6, 4, 6))
+
+
+def test_scan_enumeration_script_defaults():
+    # the stock scan, run as a program the way perfbench runs it, and the
+    # lines that perfbench parses from it
+    done = subprocess.run([sys.executable, str(SCAN_SCRIPT)], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    assert "609982 hits, 352 distinct type instances" in done.stdout
+    assert "enumeration complete: no misses" in done.stdout.splitlines()
 
 
 def test_scan_enumeration_script_reports_misses(capsys, monkeypatch, planted_miss):

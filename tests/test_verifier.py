@@ -384,6 +384,28 @@ def test_type_keys_match_decompose(max_len, max_entry, value_bound):
             assert key == [dec.c, packed, dec.depth % 2, value]
 
 
+@pytest.mark.parametrize("max_len, max_entry, value_bound", [(7, 4, 6), (6, 5, 10)])
+def test_end_symmetric_hits_repeat_an_earlier_key(max_len, max_entry, value_bound):
+    # why verify_enumeration keys no hit (a, m, a) with a >= 2: its value is
+    # -A(m) for every a, so (1, m, 1) is a hit too, earlier, with its key
+    bounds = (max_len, max_entry, value_bound)
+    hits = dict(scan_small_anticontinuants_reference(*bounds))
+    order = {q: k for k, (q, _) in enumerate(scan_small_anticontinuants(*bounds))}
+    repeats = 0
+    for q, value in hits.items():
+        if q[0] < 2 or q[-1] != q[0]:
+            continue
+        repeats += 1
+        first = (1, *q[1:-1], 1)
+        assert value == -anticontinuant(q[1:-1])
+        assert hits[first] == value
+        assert order[first] < order[q]
+        rows = np.array([first, q], dtype=np.int64)
+        keys = _type_keys(rows, np.array([value, value]), _core_weights(len(q), max_entry + 1))
+        assert keys[0].tolist() == keys[1].tolist()
+    assert repeats > 0
+
+
 def test_enumeration_decomposes_once_per_type(monkeypatch):
     calls = []
 
