@@ -6,8 +6,8 @@ q = (q1, ..., ql) let Q = K(q2..ql), Qp = K(q2..q(l-1)) and R = K(q3..ql),
 Rp = K(q3..q(l-1)).  Appending an entry e maps (R, Rp, Q, Qp) to
 (e*R + Rp, R, e*Q + Qp, Q), and the anticontinuant of the extended sequence
 is K(q) - K(q2..ql, e) = D - e*Q with D = K(q) - Qp = s + q1*Q, where
-s = R - Qp (K(q) = q1*Q + R).  The R track replaces K(q) itself: it is
-seeded from the prefix's continuants as R = K(q) - q1*Q, Rp = Kp - q1*Qp.
+s = R - Qp (K(q) = q1*Q + R).  The R track replaces K(q) itself: under a
+3-entry prefix it is seeded as R = K(q3) = q3, Rp = K() = 1.
 
 Candidate rule.  R/Q and Qp/Q both lie in (0, 1], so -Q < s < Q, and the
 child e has the value s + (q1 - e)*Q.  For e = q1 that is s; for e != q1
@@ -45,23 +45,23 @@ same unsigned compare t <= 2B.  The candidates' flat indices (x - 1)*N + i
 come out ascending as x ascends, and as on any one-sided level a
 candidate's hit is its child e = q1, with value s' = t - B when nonzero,
 so batches and their order do not change.  The levels built are then
-1 .. levels - 1 (1 .. levels otherwise): per 3-entry prefix the stock
-scan builds 37,449 states, not 299,593.
+1 .. levels - 1 (1 .. levels otherwise): per (q2, q3) the stock scan
+builds 37,449 states, not 299,593.
 
-Reused levels.  Under a 3-entry prefix (q1, q2, q3) no state involves q1:
-R = K(q3..) and Q = K(q2..) are continuants of entries after it, and the
-seed R = K(q) - q1*Q cancels it.  On a one-sided level, and on the solved
-one, only the child e = q1 can hit, and its value s = R - Qp = -A(q2..ql)
-does not involve q1 either, so those levels have the same candidates and
-values for every q1 of a (q2, q3).  The scan finds them at the first
-prefix (1, q2, q3) and keeps them, as state indices and values in the
-narrowest dtypes that the level's size and the bound allow, in a dict
-that lives as long as the scan.  A later prefix (q1, q2, q3) builds and
-tests only its two-sided levels, whose children e != q1 have the values
-s + (q1 - e)*Q that do depend on q1, and then yields the kept hits with
-q1 appended.  The stock scan builds its level 6 (32,768 states per
-prefix) and solves its last level 64 times, not 512; it keeps 66,734
-hits in about 0.3 MB.
+One table per (q2, q3).  Under a 3-entry prefix (q1, q2, q3) no state
+involves q1: R = K(q3..) and Q = K(q2..) are continuants of entries after
+it.  So the scan builds and tests each (q2, q3)'s levels once, from
+R = q3, Rp = 1, Q = q2*q3 + 1, Qp = q2, and keeps every level's
+candidates in a table that lives as long as the scan.  On a one-sided
+level, and on the solved one, only the child e = q1 can hit, and its value
+s = R - Qp = -A(q2..ql) does not involve q1 either: the table keeps those
+hits as state indices and values, in the narrowest dtypes that the level's
+size and the bound allow, and each prefix yields them at the flat indices
+i + (q1 - 1)*size.  A two-sided level keeps its candidates' indices, s and
+Q in int64, and each prefix checks their children, with the values
+s + q1*Q - e*Q = D - e*Q.  The stock scan builds its levels 64 times, not
+once per prefix (512); its tables hold 66,734 one-sided hits and 10,538
+two-sided candidates in 554,394 bytes.
 
 The first _CHUNK_DEPTH = 3 levels run in plain Python, one prefix at a time,
 and the levels below them run vectorized in int64.  That is exact because
@@ -80,6 +80,7 @@ e*Q < M, all inside int64; no per-level check is needed.
 
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 from typing import Iterator
 
@@ -106,6 +107,8 @@ def scan_small_anticontinuants(max_len: int, max_entry: int,
 
 def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:
     """The value bound clamped to the int64-safe range; DomainError on bad bounds."""
+    if not all(isinstance(v, int) for v in (max_len, max_entry, value_bound)):
+        raise DomainError(f"bounds must be integers, got {(max_len, max_entry, value_bound)!r}")
     if min(max_len, max_entry, value_bound) < 1:
         raise DomainError("bounds must be positive")
     if (max_entry + 1) ** max_len >= _INT64_GUARD:
@@ -123,12 +126,13 @@ def _scan_batches(max_len: int, max_entry: int,
     `_checked_bound`.
     """
     chunk_depth = min(_CHUNK_DEPTH, max_len)
-    # short sequences, and the per-prefix scalar states, in plain Python;
-    # the Q track is seeded (0, 1) so the first append lands on K(empty) = 1
-    def states(depth: int) -> Iterator[tuple[tuple[int, ...], int, int, int, int]]:
+    # short sequences and their anticontinuants, from the continuants'
+    # recurrence in plain Python; the Q track is seeded (0, 1) so the first
+    # append lands on K(empty) = 1
+    def states(depth: int) -> Iterator[tuple[tuple[int, ...], int]]:
         def rec(prefix, p, pp, qq, qp):
             if prefix:
-                yield prefix, p, pp, qq, qp
+                yield prefix, pp - qq
             if len(prefix) == depth:
                 return
             for e in range(1, max_entry + 1):
@@ -145,10 +149,8 @@ def _scan_batches(max_len: int, max_entry: int,
     # F(levels + 1) > B >= 1 implies levels >= 2, so that parent is vectorized
     solved = one_sided[levels]
     built = levels - 1 if solved else levels
-    # built levels 1 .. two_sided are two-sided, the rest one-sided
-    two_sided = one_sided[1:built + 1].count(False)
-    # the built levels' states live in buffers that every prefix reuses
-    # (fresh arrays would page-fault anew for each prefix): Rs[0] and Rs[1]
+    # the built levels' states live in buffers that every (q2, q3) reuses
+    # (fresh arrays would page-fault anew for each one): Rs[0] and Rs[1]
     # hold the prefix's Rp and R, Rs[j + 1] the level below Rs[j], and the
     # state at flat index i of a level has Rp = Rs[j - 1][i % Rs[j - 1].size]
     # (same for Q); its child by entry e sits at (e - 1) * Rs[j].size + i
@@ -159,9 +161,6 @@ def _scan_batches(max_len: int, max_entry: int,
     e_buf = np.empty(sizes[-1], dtype=np.int64)
     entries = np.arange(1, max_entry + 1, dtype=np.int64).reshape(-1, 1, 1)
     places = max_entry ** np.arange(levels)
-    # the one-sided hits of each (q2, q3), as (level, state indices, values)
-    # from its first prefix; they hold for every q1, with child e = q1
-    reused = {}
 
     def batch(prefix, j, flat, values):
         # the rows of level j's children at the ascending flat indices `flat`
@@ -178,22 +177,18 @@ def _scan_batches(max_len: int, max_entry: int,
         # narrow copies: a signed type that holds -size holds every index, and
         # one that holds -bound - 1 holds every value
         return (j, i[keep].astype(np.min_scalar_type(-size)),
-                values[keep].astype(np.min_scalar_type(-bound - 1)))
+                values[keep].astype(np.min_scalar_type(-bound - 1)), None)
 
-    for prefix, p, pp, qq, qp in states(chunk_depth):
-        value = pp - qq
-        if 1 <= abs(value) <= bound:
-            yield np.array([prefix], dtype=np.int64), np.array([value], dtype=np.int64)
-        if len(prefix) < chunk_depth or levels == 0:
-            continue
-        q1, q2 = prefix[0], prefix[1]
-        kept = reused.get(prefix[1:])
-        top = built if kept is None else two_sided
+    @cache
+    def table(q2, q3):
+        # the candidates of every level under the prefixes (q1, q2, q3), in
+        # level order: a one-sided level keeps (j, indices, values, None) of
+        # its children e = q1, a two-sided one (j, indices, s, Q)
         found = []
-        Rs[0][0], Rs[1][0], Qs[0][0], Qs[1][0] = pp - q1 * qp, p - q1 * qq, qp, qq
-        for j in range(1, top + 1):
+        Rs[0][0], Rs[1][0], Qs[0][0], Qs[1][0] = 1, q3, q2, q2 * q3 + 1
+        for j in range(1, built + 1):
             R, Rprev, Q, Qprev = Rs[j], Rs[j - 1], Qs[j], Qs[j - 1]
-            # s = R - Qp = D - q1*Q, and a child's value is s + (q1 - e)*Q
+            # s = R - Qp, and a child's value is s + (q1 - e)*Q
             t, e = t_buf[:R.size], e_buf[:R.size]
             if one_sided[j]:
                 # |s| <= B: t = s + B from R - (Qp - B), where a negative t
@@ -209,49 +204,54 @@ def _scan_batches(max_len: int, max_entry: int,
                 np.subtract(Q, t, out=e)
                 np.minimum(t, e, out=t)
                 cand = np.flatnonzero(t <= bound)
-                if cand.size:
-                    # every child of the candidates, checked exactly; row
-                    # e - 1 holds entry e, so row-major order is the order
-                    # of the flat child indices
-                    Qc = Q[cand]
-                    D = R[cand] - Qprev[cand % Qprev.size] + q1 * Qc
-                    values = D - entries.reshape(-1, 1) * Qc
-                    rows, cols = np.nonzero((values != 0) & (np.abs(values) <= bound))
-                    if rows.size:  # a candidate's one child in range may have value 0
-                        yield batch(prefix, j, rows * R.size + cand[cols], values[rows, cols])
-            if j < top:
+                found.append((j, cand, R[cand] - Qprev[cand % Qprev.size], Q[cand]))
+            if j < built:
                 for new, cur, prev in ((Rs[j + 1], R, Rprev), (Qs[j + 1], Q, Qprev)):
                     child = new.reshape(max_entry, -1, prev.size)
                     np.multiply(entries, cur.reshape(-1, prev.size), out=child)
                     child += prev
-        if kept is None:
-            if solved:
-                # the last level from the states (R, Rp, Q) of its parent
-                # level: child x has s = x*R + (Rp - Q), and only |x - q2| <= 1
-                # can give |s| <= B; base = Rp - Q + B, and t = s + B as on a
-                # built level
-                R, Rprev, Q = Rs[built], Rs[built - 1], Qs[built]
-                base, t = t_buf[:R.size], e_buf[:R.size]
-                shift = np.add(Rprev, bound, out=t[:Rprev.size])
-                np.subtract(shift, Q.reshape(-1, Rprev.size), out=base.reshape(-1, Rprev.size))
-                window = range(max(1, q2 - 1), min(max_entry, q2 + 1) + 1)
-                flat, ts = [], []
-                for x in window:
-                    np.multiply(R, x, out=t)
-                    t += base
-                    i = np.flatnonzero(t.view(np.uint64) <= 2 * bound)
-                    # x ascends, so the flat indices (x - 1) * R.size + i do too
-                    flat.append((x - 1) * R.size + i)
-                    ts.append(t[i])
-                found.append(one_sided_hits(levels, max_entry * R.size,
-                                            np.concatenate(flat), np.concatenate(ts)))
-            kept = reused[prefix[1:]] = found
-        for j, i, values in kept:
-            if i.size:
+        if solved:
+            # the last level from the states (R, Rp, Q) of its parent level:
+            # child x has s = x*R + (Rp - Q), and only |x - q2| <= 1 can give
+            # |s| <= B; base = Rp - Q + B, and t = s + B as on a built level
+            R, Rprev, Q = Rs[built], Rs[built - 1], Qs[built]
+            base, t = t_buf[:R.size], e_buf[:R.size]
+            shift = np.add(Rprev, bound, out=t[:Rprev.size])
+            np.subtract(shift, Q.reshape(-1, Rprev.size), out=base.reshape(-1, Rprev.size))
+            window = range(max(1, q2 - 1), min(max_entry, q2 + 1) + 1)
+            flat, ts = [], []
+            for x in window:
+                np.multiply(R, x, out=t)
+                t += base
+                i = np.flatnonzero(t.view(np.uint64) <= 2 * bound)
+                # x ascends, so the flat indices (x - 1) * R.size + i do too
+                flat.append((x - 1) * R.size + i)
+                ts.append(t[i])
+            found.append(one_sided_hits(levels, max_entry * R.size,
+                                        np.concatenate(flat), np.concatenate(ts)))
+        return found
+
+    for prefix, value in states(chunk_depth):
+        if 1 <= abs(value) <= bound:
+            yield np.array([prefix], dtype=np.int64), np.array([value], dtype=np.int64)
+        if len(prefix) < chunk_depth or levels == 0:
+            continue
+        q1 = prefix[0]
+        for j, i, s, Q in table(*prefix[1:]):
+            if Q is None:
                 # in int64: under numpy 1.x value-based casting the narrow
                 # i would set the dtype of the sum
                 flat = np.add(i, (q1 - 1) * places[j - 1], dtype=np.int64)
-                yield batch(prefix, j, flat, values.astype(np.int64))
+                values = s.astype(np.int64)
+            else:
+                # every child of the candidates, checked exactly, with the
+                # value D - e*Q, D = s + q1*Q; row e - 1 holds entry e, so
+                # row-major order is the order of the flat child indices
+                values = s + q1 * Q - entries.reshape(-1, 1) * Q
+                rows, cols = np.nonzero((values != 0) & (np.abs(values) <= bound))
+                flat, values = rows * places[j - 1] + i[cols], values[rows, cols]
+            if flat.size:
+                yield batch(prefix, j, flat, values)
 
 
 def scan_small_anticontinuants_reference(max_len: int, max_entry: int,

@@ -1,8 +1,9 @@
 import hashlib
+from itertools import product
 
 import pytest
 
-from cfasym.continuants import anticontinuant, fibonacci
+from cfasym.continuants import anticontinuant, continuant, fibonacci
 from cfasym.errors import DomainError
 from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
                                scan_small_anticontinuants_reference)
@@ -27,9 +28,10 @@ from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
     (7, 6, 4),        # from a deeper parent level
     # built and tested, though the bound is the smallest:
     (4, 6, 1),        # one level, two-sided: F(2) = 1 does not pass B = 1
-    # a later q1 reuses the one-sided hits of its (q2, q3) from q1 = 1:
+    # every q1 reads the table of its (q2, q3), built once, at q1 = 1:
     (8, 4, 6),        # a non-empty solved level with hits where x != q2
-    (8, 3, 4),        # three two-sided levels above two one-sided ones
+    (8, 3, 4),        # three two-sided levels, whose children vary with q1,
+                      # above two one-sided ones, whose hits do not
 ])
 def test_scanner_matches_reference(max_len, max_entry, value_bound):
     fast = sorted(scan_small_anticontinuants(max_len, max_entry, value_bound))
@@ -51,6 +53,15 @@ def test_one_sided_hits_do_not_depend_on_the_first_entry(max_len, max_entry, val
             middles[q[0]].add((q[1:-1], value))
     assert middles[1]
     assert all(found == middles[1] for found in middles.values())
+
+
+def test_anticontinuant_splits_off_the_ends():
+    # A(a, m, e) = (a - e)*K(m) - A(m): a two-sided candidate of the scanner
+    # depends only on m, and its children's values on q1 = a only through
+    # (a - e)*Q, Q = K(m)
+    for length in range(4, 8):
+        for a, *m, e in product(range(1, 5), repeat=length):
+            assert anticontinuant((a, *m, e)) == (a - e) * continuant(m) - anticontinuant(m)
 
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound, count, digest", [
@@ -98,6 +109,9 @@ def test_scanner_validates_at_the_call():
         scan_small_anticontinuants(0, 3, 5)
     with pytest.raises(DomainError):
         scan_small_anticontinuants(80, 200, 5)
+    for bounds in [(6.0, 4, 2), (6, 4.0, 2), (6, 4, 2.5)]:
+        with pytest.raises(DomainError, match="integers"):
+            scan_small_anticontinuants(*bounds)
 
 
 @pytest.mark.parametrize("max_len, max_entry", [(39, 2), (61, 1)])

@@ -352,8 +352,9 @@ def _counting_catalogs(monkeypatch):
 
 def test_enumeration_validates_before_any_catalog(monkeypatch):
     calls = _counting_catalogs(monkeypatch)
-    with pytest.raises(DomainError):
-        verify_enumeration(0, 8, 8)
+    for bounds in [(0, 8, 8), (6, 4, 2.5), (6.0, 4, 2), (6, 4.0, 2)]:
+        with pytest.raises(DomainError):
+            verify_enumeration(*bounds)
     assert calls == []
 
 
