@@ -6,15 +6,19 @@ keeps those whose anticontinuant value is small and nonzero, and confirms
 that each one's extended type appears in the enumerated catalog for its
 value (`cfasym.verify_enumeration`).  Exits 1 and prints the offenders if
 any sequence is missed: the first 50 to stderr, then how many more there are.
+Exits 2, as `cfasym` does on a domain error, with one line on stderr if
+`verify_enumeration` refuses the bounds.
 """
 
 import argparse
 import sys
 import time
 
+import cfasym
 from cfasym import verify_enumeration
 
 _SHOWN_MISSES = 50
+_DOMAIN_EXIT = 2  # cfasym.cli.DOMAIN_EXIT
 
 
 def main() -> int:
@@ -25,7 +29,13 @@ def main() -> int:
     args = parser.parse_args()
 
     t0 = time.perf_counter()
-    report = verify_enumeration(args.max_len, args.max_entry, args.value_bound)
+    try:
+        report = verify_enumeration(args.max_len, args.max_entry, args.value_bound)
+    # named through the package: perfbench wraps each cfasym callable in
+    # these globals in a function, and except takes no function
+    except cfasym.DomainError as exc:
+        print(f"scan_enumeration: domain error: {exc}", file=sys.stderr)
+        return _DOMAIN_EXIT
     print(f"scanned sequences with length <= {args.max_len}, entries <= "
           f"{args.max_entry}: {report.hits} hits, {report.types} distinct type "
           f"instances [{time.perf_counter() - t0:.1f}s]")

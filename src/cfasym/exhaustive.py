@@ -24,10 +24,12 @@ one-sided level a candidate's one possible hit is its child e = q1, with
 value s = t - B, so only that is kept, when nonzero.  A level's hits
 come from its states' arrays, and those are built only when they are
 tested, so the sequences of full length are never materialized.  The hits
-leave `_scan_batches` as int64 digit arrays, one per prefix and length, so
-a caller can work on them in numpy; `scan_small_anticontinuants` flattens
-them to tuples in the same order.  The scan uses continuant algebra only,
-no type theory, so it stays an independent check of the type catalog.
+leave `_scan_batches` as flat indices and values, one batch per prefix and
+length, and `_rows` decodes a batch into int64 digit rows only where a
+caller asks: `scan_small_anticontinuants` flattens every batch's rows to
+tuples in the same order, while `verify_enumeration` first drops hits by
+their last entries (`_last_entries`).  The scan uses continuant algebra
+only, no type theory, so it stays an independent check of the type catalog.
 
 Solved last level.  The last vectorized level, levels = max_len - 3, holds
 the states of length max_len - 1; in the stock scan they are 7/8 of all
@@ -101,8 +103,9 @@ def scan_small_anticontinuants(max_len: int, max_entry: int,
     """
     batches = _scan_batches(max_len, max_entry,
                             _checked_bound(max_len, max_entry, value_bound))
-    return ((seq, value) for rows, values in batches
-            for seq, value in zip(zip(*rows.T.tolist()), values.tolist()))
+    return ((seq, value) for prefix, level, flat, values in batches
+            for seq, value in zip(zip(*_rows(prefix, level, flat, max_entry).T.tolist()),
+                                  values.tolist()))
 
 
 def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:
@@ -117,13 +120,37 @@ def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:
     return min(value_bound, (max_entry + 1) ** max_len)
 
 
-def _scan_batches(max_len: int, max_entry: int,
-                  bound: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _rows(prefix: tuple[int, ...], level: int, flat: np.ndarray,
+          max_entry: int) -> np.ndarray:
+    """The digit rows (k x (len(prefix) + level), int64) of a scanner batch.
+
+    Entry len(prefix) + d of the hit at flat index f is
+    f // max_entry^d % max_entry + 1, so the last entry is the most
+    significant digit; at level 0 the prefix is the hit, whatever `flat`.
+    """
+    rows = np.empty((flat.size, len(prefix) + level), dtype=np.int64)
+    rows[:, :len(prefix)] = prefix
+    rows[:, len(prefix):] = flat[:, None] // max_entry ** np.arange(level) % max_entry + 1
+    return rows
+
+
+def _last_entries(prefix: tuple[int, ...], level: int, flat: np.ndarray,
+                  max_entry: int) -> np.ndarray:
+    """The last column of `_rows(prefix, level, flat, max_entry)`, without the rows."""
+    if level == 0:
+        return np.full(flat.size, prefix[-1])
+    return flat // max_entry ** (level - 1) + 1
+
+
+def _scan_batches(max_len: int, max_entry: int, bound: int
+                  ) -> Iterator[tuple[tuple[int, ...], int, np.ndarray, np.ndarray]]:
     """The hits in scan order, one batch per prefix and length.
 
-    A batch is an int64 array `rows` of k sequences of one length (k x L)
-    and their anticontinuants `values`; `bound` must come from
-    `_checked_bound`.
+    A batch (prefix, level, flat, values) holds k >= 1 hits: the sequences
+    that extend `prefix` by `level` entries, encoded by their ascending int64
+    flat indices `flat` (`_rows` decodes them), and their int64
+    anticontinuants `values`.  Level 0 is the prefix's own hit, with
+    flat = [0].  `bound` must come from `_checked_bound`.
     """
     chunk_depth = min(_CHUNK_DEPTH, max_len)
     # short sequences and their anticontinuants, from the continuants'
@@ -160,14 +187,6 @@ def _scan_batches(max_len: int, max_entry: int,
     t_buf = np.empty(sizes[-1], dtype=np.int64)
     e_buf = np.empty(sizes[-1], dtype=np.int64)
     entries = np.arange(1, max_entry + 1, dtype=np.int64).reshape(-1, 1, 1)
-    places = max_entry ** np.arange(levels)
-
-    def batch(prefix, j, flat, values):
-        # the rows of level j's children at the ascending flat indices `flat`
-        hits = np.empty((flat.size, chunk_depth + j), dtype=np.int64)
-        hits[:, :chunk_depth] = prefix
-        hits[:, chunk_depth:] = (flat[:, None] // places[:j]) % max_entry + 1
-        return hits, values
 
     def one_sided_hits(j, size, i, t):
         # child e = q1 of the states at the ascending indices i of level j
@@ -233,15 +252,16 @@ def _scan_batches(max_len: int, max_entry: int,
 
     for prefix, value in states(chunk_depth):
         if 1 <= abs(value) <= bound:
-            yield np.array([prefix], dtype=np.int64), np.array([value], dtype=np.int64)
+            yield prefix, 0, np.zeros(1, dtype=np.int64), np.array([value], dtype=np.int64)
         if len(prefix) < chunk_depth or levels == 0:
             continue
         q1 = prefix[0]
         for j, i, s, Q in table(*prefix[1:]):
+            place = max_entry ** (j - 1)
             if Q is None:
                 # in int64: under numpy 1.x value-based casting the narrow
                 # i would set the dtype of the sum
-                flat = np.add(i, (q1 - 1) * places[j - 1], dtype=np.int64)
+                flat = np.add(i, (q1 - 1) * place, dtype=np.int64)
                 values = s.astype(np.int64)
             else:
                 # every child of the candidates, checked exactly, with the
@@ -249,9 +269,9 @@ def _scan_batches(max_len: int, max_entry: int,
                 # row-major order is the order of the flat child indices
                 values = s + q1 * Q - entries.reshape(-1, 1) * Q
                 rows, cols = np.nonzero((values != 0) & (np.abs(values) <= bound))
-                flat, values = rows * places[j - 1] + i[cols], values[rows, cols]
+                flat, values = rows * place + i[cols], values[rows, cols]
             if flat.size:
-                yield batch(prefix, j, flat, values)
+                yield prefix, j, flat, values
 
 
 def scan_small_anticontinuants_reference(max_len: int, max_entry: int,

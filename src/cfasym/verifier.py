@@ -278,11 +278,14 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     a is, and its ends match, so its key reads only m and that value.  So
     (1, m, 1), of the same length and value, is a hit with the same key,
     and it comes earlier in scan order; at the stock bounds that skips
-    532,770 of the 609,982 hits.  Bad bounds raise DomainError before any
-    catalog, and so does a bound that could reach a value beyond
-    TARGET_MAX, whose catalog `enumerate_types` refuses.
+    532,770 of the 609,982 hits.  They are dropped by their last entries,
+    read off the scanner's flat indices, so no digit row is built for them.
+    Bad bounds raise DomainError before any catalog, and so does a bound
+    that could reach a value beyond TARGET_MAX, whose catalog
+    `enumerate_types` refuses.
     """
-    from .exhaustive import _checked_bound, _scan_batches  # numpy stays out of CLI start-up
+    # numpy stays out of CLI start-up
+    from .exhaustive import _checked_bound, _last_entries, _rows, _scan_batches
 
     bound = _checked_bound(max_len, max_entry, value_bound)
     if bound > TARGET_MAX:
@@ -293,13 +296,15 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     seen = set()
     violations: list[ViolationRecord] = []
     hits = 0
-    for rows, values in batches:
+    for prefix, level, flat, values in batches:
         hits += values.size
-        # (a, m, a) with a >= 2 has the key of (1, m, 1), an earlier hit
-        first = (rows[:, 0] == 1) | (rows[:, 0] != rows[:, -1])
-        if not first.any():
-            continue
-        rows, values = rows[first], values[first]
+        if prefix[0] >= 2:
+            # (a, m, a) with a >= 2 has the key of (1, m, 1), an earlier hit
+            first = _last_entries(prefix, level, flat, max_entry) != prefix[0]
+            if not first.any():
+                continue
+            flat, values = flat[first], values[first]
+        rows = _rows(prefix, level, flat, max_entry)
         keys = _type_keys(rows, values, weights[rows.shape[1]])
         for i, key in enumerate(zip(*keys.T.tolist())):
             if key in seen:

@@ -5,6 +5,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from cfasym.cli import DOMAIN_EXIT
 from cfasym.exhaustive import scan_small_anticontinuants_reference
 from cfasym.verifier import build_table, verify_identities
 
@@ -34,6 +37,39 @@ def test_scan_enumeration_script_defaults():
     assert done.returncode == 0, done.stderr
     assert "609982 hits, 352 distinct type instances" in done.stdout
     assert "enumeration complete: no misses" in done.stdout.splitlines()
+
+
+def test_scan_enumeration_script_refuses_a_bound_with_the_domain_exit():
+    # a value bound past TARGET_MAX is refused before any scan; exit 1 would
+    # read as "misses found"
+    done = subprocess.run([sys.executable, str(SCAN_SCRIPT), "--value-bound", "200"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == DOMAIN_EXIT
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert re.fullmatch(r"scan_enumeration: domain error: .*200\n", done.stderr)
+
+
+def test_scan_enumeration_script_names_no_cfasym_class(monkeypatch):
+    # perfbench's set-up probe replaces every cfasym callable in the script's
+    # globals by a wrapper and stops at the first call with an exception of
+    # its own; that must reach the caller, not a TypeError from an except
+    # clause that names a wrapped class
+    class Stop(Exception):
+        pass
+
+    def stop(*args, **kwargs):
+        raise Stop
+
+    main = runpy.run_path(str(SCAN_SCRIPT), run_name="scan_enumeration")["main"]
+    ns = main.__globals__
+    for name, obj in list(ns.items()):
+        if callable(obj) and (getattr(obj, "__module__", None) or "").startswith("cfasym."):
+            ns[name] = stop
+    monkeypatch.setattr(sys, "argv", [str(SCAN_SCRIPT)])
+    with pytest.raises(Stop):
+        main()
 
 
 def test_scan_enumeration_script_reports_misses(capsys, monkeypatch, planted_miss):

@@ -5,13 +5,14 @@ from math import gcd
 import numpy as np
 import pytest
 
-from cfasym import verifier
+from cfasym import exhaustive, verifier
 from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
                               extended_type, type_value)
 from cfasym.cf import expand, parity_by_inverse
 from cfasym.congruence import CongruenceSpec, ExceptionalCertificate
 from cfasym.errors import DomainError
-from cfasym.exhaustive import scan_small_anticontinuants, scan_small_anticontinuants_reference
+from cfasym.exhaustive import (_checked_bound, _last_entries, _rows, _scan_batches,
+                               scan_small_anticontinuants, scan_small_anticontinuants_reference)
 from cfasym.verifier import (_core_weights, _type_keys, _typed_pairs, build_table,
                              verify_enumeration, verify_identities, verify_main_theorem)
 from cfasym.continuants import anticontinuant
@@ -405,6 +406,41 @@ def test_end_symmetric_hits_repeat_an_earlier_key(max_len, max_entry, value_boun
         keys = _type_keys(rows, np.array([value, value]), _core_weights(len(q), max_entry + 1))
         assert keys[0].tolist() == keys[1].tolist()
     assert repeats > 0
+
+
+@pytest.mark.parametrize("max_len, max_entry, value_bound", [(8, 4, 6), (7, 4, 6)])
+def test_enumeration_builds_rows_only_for_the_hits_it_keys(monkeypatch, max_len, max_entry,
+                                                           value_bound):
+    # no digit row for an end-symmetric hit (a, m, a) with a >= 2, and no
+    # call for a batch that has none left
+    built = []
+
+    def counting(prefix, level, flat, max_entry):
+        built.append(flat.size)
+        return _rows(prefix, level, flat, max_entry)
+
+    monkeypatch.setattr(exhaustive, "_rows", counting)
+    bounds = (max_len, max_entry, value_bound)
+    report = verify_enumeration(*bounds)
+    assert report.ok
+    keyed = sum(1 for q, _ in scan_small_anticontinuants_reference(*bounds)
+                if q[0] < 2 or q[-1] != q[0])
+    assert sum(built) == keyed < report.hits
+    assert min(built) > 0
+
+
+@pytest.mark.parametrize("max_len, max_entry, value_bound",
+                         [(8, 3, 4), (8, 4, 6), (5, 4, 1), (2, 6, 5)])
+def test_last_entries_match_the_built_rows(max_len, max_entry, value_bound):
+    # level 0 (the prefix's own hit), built one-sided levels and the solved one
+    bound = _checked_bound(max_len, max_entry, value_bound)
+    levels = set()
+    for prefix, level, flat, values in _scan_batches(max_len, max_entry, bound):
+        rows = _rows(prefix, level, flat, max_entry)
+        assert rows.shape == (values.size, len(prefix) + level)
+        assert _last_entries(prefix, level, flat, max_entry).tolist() == rows[:, -1].tolist()
+        levels.add(level)
+    assert 0 in levels
 
 
 def test_enumeration_decomposes_once_per_type(monkeypatch):
