@@ -16,6 +16,7 @@ stable ordering, so equal inputs give byte-identical serializations.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
@@ -25,7 +26,7 @@ from .cf import alternate_expansion, evaluate, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate,
                          exceptional_candidates, solve_quadratic, true_exceptions)
 from .continuants import anticontinuant, euler_residual
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 Mode = Literal["refined", "coarse"]
 
@@ -97,9 +98,9 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
     sequences are checked for a vanishing continuant-identity residual and
     for A(reversed) = -A.  Failures become report records, not exceptions.
     """
-    if not isinstance(max_alpha, int) or max_alpha < 2:
+    if not is_int(max_alpha) or max_alpha < 2:
         raise DomainError(f"max_alpha must be an integer >= 2, got {max_alpha!r}")
-    if not isinstance(trials, int) or trials < 0:
+    if not is_int(trials) or trials < 0:
         raise DomainError(f"trials must be a non-negative integer, got {trials!r}")
     violations: list[ViolationRecord] = []
     checked = 0
@@ -162,7 +163,7 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
     """
     if mode not in ("refined", "coarse"):
         raise DomainError(f"mode must be 'refined' or 'coarse', got {mode!r}")
-    if not isinstance(alpha_max, int) or alpha_max < 1:
+    if not is_int(alpha_max) or alpha_max < 1:
         raise DomainError(f"alpha_max must be a positive integer, got {alpha_max!r}")
     candidates = exceptional_candidates(spec)  # also validates (n, s)
     n, s = spec.n, spec.s
@@ -270,57 +271,66 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     and 1 <= |anticontinuant| <= value_bound is met, and each distinct type
     instance (c, core, sigma, value) must give its value through the type
     formula and be listed by `enumerate_types(value)`; otherwise it is a
-    "formula_mismatch" or "missing_from_catalog" violation.  Hits come in
-    batches whose type keys are computed in numpy (`_type_keys`), so only
-    the first hit of each instance is decomposed, and a catalog is built
-    only for a value that some type instance carries.  An end-symmetric hit
-    (a, m, a) with a >= 2 is not keyed at all: its value is -A(m) whatever
-    a is, and its ends match, so its key reads only m and that value.  So
-    (1, m, 1), of the same length and value, is a hit with the same key,
-    and it comes earlier in scan order; at the stock bounds that skips
-    532,770 of the 609,982 hits.  They are dropped by their last entries,
-    read off the scanner's flat indices, so no digit row is built for them.
-    Bad bounds raise DomainError before any catalog, and so does a bound
-    that could reach a value beyond TARGET_MAX, whose catalog
-    `enumerate_types` refuses.
+    "formula_mismatch" or "missing_from_catalog" violation.  Each scanner
+    batch, one per (q2, q3) table and level, is decoded and keyed whole in
+    numpy (`_rows`, `_type_keys`), and only its first hit of each key is
+    kept.  The batches' first hits are merged by scan position, so each
+    instance is decomposed once, at its first hit in scan order, and the
+    instances are checked in that order.  An end-symmetric hit (a, m, a)
+    with a >= 2 is counted but not keyed: its value is -A(m) whatever a is,
+    and its ends match, so its key reads only m and that value.  So
+    (1, m, 1), of the same length and value, is an earlier hit with the same
+    key; the scanner lists only that one, which skips 532,770 of the 609,982
+    hits at the stock bounds.  A catalog is built only for a value that
+    some instance carries.  Bad bounds raise DomainError before any
+    catalog, and so does a bound that could reach a value beyond
+    TARGET_MAX, whose catalog `enumerate_types` refuses.
     """
     # numpy stays out of CLI start-up
-    from .exhaustive import _checked_bound, _last_entries, _rows, _scan_batches
+    from .exhaustive import _checked_bound, _rows, _scan_batches
 
     bound = _checked_bound(max_len, max_entry, value_bound)
     if bound > TARGET_MAX:
         raise DomainError(f"value_bound must be at most {TARGET_MAX}, got {value_bound}")
-    batches = _scan_batches(max_len, max_entry, bound)
     weights = [_core_weights(length, max_entry + 1) for length in range(max_len + 1)]
-    catalogs = {}
-    seen = set()
-    violations: list[ViolationRecord] = []
+    # each key's earliest hit so far: (scan position, sequence)
+    first: dict[tuple, tuple] = {}
     hits = 0
-    for prefix, level, flat, values in batches:
-        hits += values.size
-        if prefix[0] >= 2:
-            # (a, m, a) with a >= 2 has the key of (1, m, 1), an earlier hit
-            first = _last_entries(prefix, level, flat, max_entry) != prefix[0]
-            if not first.any():
-                continue
-            flat, values = flat[first], values[first]
-        rows = _rows(prefix, level, flat, max_entry)
+    for prefixes, level, flat, values, ends in _scan_batches(max_len, max_entry, bound):
+        # a listed (1, m, 1) stands for (a, m, a) at every a, all with its key
+        hits += values.size + (max_entry - 1) * int(ends.sum())
+        rows = _rows(prefixes, level, flat, max_entry)
         keys = _type_keys(rows, values, weights[rows.shape[1]])
-        for i, key in enumerate(zip(*keys.T.tolist())):
-            if key in seen:
-                continue
-            seen.add(key)
-            q = tuple(rows[i].tolist())
-            value = key[-1]
-            dec = decompose(q)
-            if type_value(extended_type(dec)) != value:
-                violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
-                continue
-            if value not in catalogs:
-                catalogs[value] = enumerate_types(value, "both")
-            if not catalogs[value].contains(dec.c, dec.core, dec.sigma):
-                violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
-    return EnumerationReport(hits, len(seen), tuple(violations))
+        at = _first_of_each_row(keys)
+        # a position (prefix, level, flat) compares in scan order as Python
+        # lists do: a prefix before its extensions
+        for i, key, position in zip(at.tolist(), map(tuple, keys[at].tolist()),
+                                    zip(prefixes[at].tolist(), repeat(level), flat[at].tolist())):
+            if key not in first or position < first[key][0]:
+                first[key] = (position, tuple(rows[i].tolist()))
+    catalogs = {}
+    violations: list[ViolationRecord] = []
+    for (_, q), value in sorted((hit, key[-1]) for key, hit in first.items()):
+        dec = decompose(q)
+        if type_value(extended_type(dec)) != value:
+            violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
+            continue
+        if value not in catalogs:
+            catalogs[value] = enumerate_types(value, "both")
+        if not catalogs[value].contains(dec.c, dec.core, dec.sigma):
+            violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
+    return EnumerationReport(hits, len(first), tuple(violations))
+
+
+def _first_of_each_row(keys):
+    """The index of the first occurrence of each distinct row of `keys` (k x 4)."""
+    import numpy as np
+
+    order = np.lexsort(keys.T)  # stable: equal rows keep their order
+    ranked = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
+    return order[new]
 
 
 def _core_weights(length: int, base: int):
@@ -423,7 +433,7 @@ def build_table(n_max: int) -> TableDocument:
     (2, even) congruence is the excluded perfect-square case, which has no
     exceptions, so its cell is empty by construction.
     """
-    if not isinstance(n_max, int) or n_max < 1:
+    if not is_int(n_max) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
     if n_max > TARGET_MAX:
         raise DomainError(f"n_max must be at most {TARGET_MAX}, got {n_max}")

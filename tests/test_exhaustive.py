@@ -28,7 +28,7 @@ from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
     (7, 6, 4),        # from a deeper parent level
     # built and tested, though the bound is the smallest:
     (4, 6, 1),        # one level, two-sided: F(2) = 1 does not pass B = 1
-    # every q1 reads the table of its (q2, q3), built once, at q1 = 1:
+    # every q1 comes from the one table of its (q2, q3):
     (8, 4, 6),        # a non-empty solved level with hits where x != q2
     (8, 3, 4),        # three two-sided levels, whose children vary with q1,
                       # above two one-sided ones, whose hits do not

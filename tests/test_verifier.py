@@ -11,10 +11,11 @@ from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enum
 from cfasym.cf import expand, parity_by_inverse
 from cfasym.congruence import CongruenceSpec, ExceptionalCertificate
 from cfasym.errors import DomainError
-from cfasym.exhaustive import (_checked_bound, _last_entries, _rows, _scan_batches,
-                               scan_small_anticontinuants, scan_small_anticontinuants_reference)
-from cfasym.verifier import (_core_weights, _type_keys, _typed_pairs, build_table,
-                             verify_enumeration, verify_identities, verify_main_theorem)
+from cfasym.exhaustive import (_checked_bound, _rows, _scan_batches, scan_small_anticontinuants,
+                               scan_small_anticontinuants_reference)
+from cfasym.verifier import (EnumerationReport, ViolationRecord, _core_weights, _type_keys,
+                             _typed_pairs, build_table, verify_enumeration, verify_identities,
+                             verify_main_theorem)
 from cfasym.continuants import anticontinuant
 
 SPECS = [CongruenceSpec(sign * n, s) for n in range(1, 7) for sign in (1, -1)
@@ -431,16 +432,88 @@ def test_enumeration_builds_rows_only_for_the_hits_it_keys(monkeypatch, max_len,
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound",
                          [(8, 3, 4), (8, 4, 6), (5, 4, 1), (2, 6, 5)])
-def test_last_entries_match_the_built_rows(max_len, max_entry, value_bound):
-    # level 0 (the prefix's own hit), built one-sided levels and the solved one
+def test_batch_rows_match_the_batch_form(max_len, max_entry, value_bound):
+    # level 0 (the prefixes' own hits), built one-sided and two-sided levels
+    # and the solved one
     bound = _checked_bound(max_len, max_entry, value_bound)
     levels = set()
-    for prefix, level, flat, values in _scan_batches(max_len, max_entry, bound):
-        rows = _rows(prefix, level, flat, max_entry)
-        assert rows.shape == (values.size, len(prefix) + level)
-        assert _last_entries(prefix, level, flat, max_entry).tolist() == rows[:, -1].tolist()
+    for prefixes, level, flat, values, ends in _scan_batches(max_len, max_entry, bound):
+        rows = _rows(prefixes, level, flat, max_entry)
+        assert rows.shape == (values.size, prefixes.shape[1] + level)
+        assert 0 < values.size == flat.size == ends.size
+        assert [anticontinuant(q) for q in rows.tolist()] == values.tolist()
+        # an end-symmetric hit is listed only as (1, m, 1), for every (a, m, a)
+        assert (rows[ends][:, [0, -1]] == 1).all()
+        assert not ((rows[:, 0] >= 2) & (rows[:, 0] == rows[:, -1])).any()
         levels.add(level)
     assert 0 in levels
+
+
+def _plain_python_check(bounds, catalog, value_of):
+    # verify_enumeration without numpy: every hit in scan order, keyed by
+    # decompose, the first hit of each key checked
+    seen = set()
+    violations = []
+    hits = 0
+    for q, value in scan_small_anticontinuants(*bounds):
+        hits += 1
+        dec = decompose(q)
+        key = (dec.c, dec.core, dec.sigma, value)
+        if key in seen:
+            continue
+        seen.add(key)
+        if value_of(extended_type(dec)) != value:
+            violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
+        elif not catalog(value).contains(dec.c, dec.core, dec.sigma):
+            violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
+    return EnumerationReport(hits, len(seen), tuple(violations))
+
+
+@pytest.mark.parametrize("bounds", [
+    (3, 2, 80),  # no table: only the prefixes' own hits
+    (5, 4, 1),   # the last level solved from the 3-entry prefix
+    (7, 4, 30),  # a two-sided last level
+    (8, 3, 4),   # two-sided children that vary with q1
+    (8, 4, 6),   # solved-level hits where x != q2
+], ids=lambda bounds: "-".join(map(str, bounds)))
+def test_enumeration_matches_a_plain_python_check(monkeypatch, bounds):
+    catalogs = {}
+
+    def catalog(n, lambda_parity="both"):
+        if n not in catalogs:
+            catalogs[n] = enumerate_types(n, lambda_parity)
+        return catalogs[n]
+
+    def no_sigma_odd(n, lambda_parity="both"):
+        full = catalog(n, lambda_parity)
+        return full._replace(finite_types=frozenset(t for t in full.finite_types
+                                                    if t.sigma == "even"))
+
+    def off_by_one(t):
+        return type_value(t) + 1
+
+    for make, value_of in [(catalog, type_value), (no_sigma_odd, type_value),
+                           (catalog, off_by_one)]:
+        monkeypatch.setattr(verifier, "enumerate_types", make)
+        monkeypatch.setattr(verifier, "type_value", value_of)
+        assert verify_enumeration(*bounds) == _plain_python_check(bounds, make, value_of)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_main_theorem(CongruenceSpec(3, 1), True),
+    lambda: build_table(True),
+    lambda: verify_identities(True),
+    lambda: verify_identities(5, trials=True),
+    lambda: verify_enumeration(True, 8, 8),
+    lambda: verify_enumeration(6, True, 2),
+    lambda: verify_enumeration(6, 4, True),
+], ids=["alpha_max", "n_max", "max_alpha", "trials", "max_len", "max_entry", "value_bound"])
+def test_bool_bounds_are_refused(monkeypatch, call):
+    # bool is an int subclass, and True used to pass as the bound 1
+    calls = _counting_catalogs(monkeypatch)
+    with pytest.raises(DomainError):
+        call()
+    assert calls == []
 
 
 def test_enumeration_decomposes_once_per_type(monkeypatch):
