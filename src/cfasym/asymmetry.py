@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Iterator, Literal, NamedTuple, Optional
 
 from .continuants import _check_entries, _continuant, fibonacci
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 Sigma = Literal["even", "odd"]
 LambdaParity = Literal["even", "odd", "both"]
@@ -217,7 +217,7 @@ def enumerate_types(n: int, lambda_parity: LambdaParity = "both") -> TypeCatalog
     and is rejected, and so is |n| > TARGET_MAX, where the search time,
     about quadratic in |n|, passes half a second.
     """
-    if not isinstance(n, int):
+    if not is_int(n):
         raise DomainError(f"target must be an integer, got {n!r}")
     if n == 0:
         raise DomainError("value 0 holds exactly for symmetric sequences; not enumerable")

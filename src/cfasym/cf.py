@@ -15,7 +15,7 @@ from math import gcd
 from typing import Literal, NamedTuple
 
 from .continuants import _check_entries, _continuant
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 Parity = Literal["even", "odd"]
 
@@ -37,7 +37,7 @@ def expand(alpha: int, beta: int) -> tuple[int, ...]:
     entries equals 1, replaces the final quotient q >= 2 by (q - 1, 1) so
     that the first and last entries are both 1 or both >= 2.
     """
-    if not isinstance(alpha, int) or not isinstance(beta, int):
+    if not is_int(alpha) or not is_int(beta):
         raise DomainError(f"pair must be integers, got ({alpha!r}, {beta!r})")
     if alpha < 1 or beta < 1 or beta > alpha:
         raise DomainError(f"pair ({alpha}, {beta}) outside 1 <= beta <= alpha")
@@ -107,7 +107,7 @@ def parity_by_inverse(u: int, v: int) -> ParityPrediction:
     The length is odd exactly when v and its smallest positive inverse lie on
     the same side of u/2 (both <= u/2 or both > u/2).
     """
-    if not isinstance(u, int) or not isinstance(v, int):
+    if not is_int(u) or not is_int(v):
         raise DomainError(f"arguments must be integers, got ({u!r}, {v!r})")
     if u < 2 or not 0 < v < u:
         raise DomainError(f"need u >= 2 and 0 < v < u, got ({u}, {v})")

@@ -16,7 +16,7 @@ from typing import Literal, NamedTuple, Optional
 from .asymmetry import AsymmetryDecomposition, decompose
 from .cf import representations
 from .continuants import anticontinuant
-from .errors import DomainError, FoldedFormError
+from .errors import DomainError, FoldedFormError, is_int
 
 Condition = Literal["small_alpha", "gamma_condition", "eta_condition"]
 
@@ -34,9 +34,9 @@ class CongruenceSpec(_SpecFields):
     __slots__ = ()
 
     def __new__(cls, n: int, s: int):
-        if not isinstance(n, int):
+        if not is_int(n):
             raise DomainError(f"n must be an integer, got {n!r}")
-        if s not in (0, 1):
+        if not is_int(s) or s not in (0, 1):
             raise DomainError(f"s must be 0 or 1, got {s!r}")
         return super().__new__(cls, n, s)
 
@@ -76,9 +76,9 @@ class FoldedParams(_FoldedFields):
 
     def __new__(cls, b: int, n: int, a: int, epsilon: int):
         for name, v in (("b", b), ("n", n), ("a", a)):
-            if not isinstance(v, int) or v < 1:
+            if not is_int(v) or v < 1:
                 raise DomainError(f"{name} must be a positive integer, got {v!r}")
-        if epsilon not in (1, -1):
+        if not is_int(epsilon) or epsilon not in (1, -1):
             raise DomainError(f"epsilon must be +1 or -1, got {epsilon!r}")
         return super().__new__(cls, b, n, a, epsilon)
 
@@ -118,7 +118,7 @@ def solve_quadratic(spec: CongruenceSpec, alpha: int) -> list[int]:
     O(sqrt(alpha) + #roots * log(alpha)); alpha above ALPHA_MAX is refused so
     that the factoring stays bounded.  Every root is coprime to alpha.
     """
-    if not isinstance(alpha, int) or alpha < 1:
+    if not is_int(alpha) or alpha < 1:
         raise DomainError(f"alpha must be a positive integer, got {alpha!r}")
     if alpha > ALPHA_MAX:
         raise DomainError(f"alpha must be at most 10**14, got {alpha}")

@@ -8,14 +8,14 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .errors import DomainError
+from .errors import DomainError, is_int
 
 Quotients = Sequence[int]
 
 
 def fibonacci(k: int) -> int:
     """F_0 = 0, F_1 = F_2 = 1, F_k = F_{k-1} + F_{k-2}."""
-    if not isinstance(k, int) or k < 0:
+    if not is_int(k) or k < 0:
         raise DomainError(f"fibonacci index must be a nonnegative integer, got {k!r}")
     a, b = 0, 1
     for _ in range(k):
@@ -25,7 +25,8 @@ def fibonacci(k: int) -> int:
 
 def _check_entries(q: Quotients) -> None:
     for e in q:
-        if not isinstance(e, int) or e < 1:
+        # is_int inline: every continuant call runs this per entry
+        if not isinstance(e, int) or isinstance(e, bool) or e < 1:
             raise DomainError(f"quotient entries must be integers >= 1, got {e!r}")
 
 

@@ -16,7 +16,6 @@ stable ordering, so equal inputs give byte-identical serializations.
 
 from __future__ import annotations
 
-from itertools import repeat
 from math import gcd
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
@@ -272,22 +271,22 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     instance (c, core, sigma, value) must give its value through the type
     formula and be listed by `enumerate_types(value)`; otherwise it is a
     "formula_mismatch" or "missing_from_catalog" violation.  Each scanner
-    batch, one per (q2, q3) table and level, is decoded and keyed whole in
-    numpy (`_rows`, `_type_keys`), and only its first hit of each key is
-    kept.  The batches' first hits are merged by scan position, so each
-    instance is decomposed once, at its first hit in scan order, and the
-    instances are checked in that order.  An end-symmetric hit (a, m, a)
-    with a >= 2 is counted but not keyed: its value is -A(m) whatever a is,
-    and its ends match, so its key reads only m and that value.  So
-    (1, m, 1), of the same length and value, is an earlier hit with the same
-    key; the scanner lists only that one, which skips 532,770 of the 609,982
-    hits at the stock bounds.  A catalog is built only for a value that
-    some instance carries.  Bad bounds raise DomainError before any
-    catalog, and so does a bound that could reach a value beyond
-    TARGET_MAX, whose catalog `enumerate_types` refuses.
+    batch, digit rows of one length in scan order, is keyed whole in numpy
+    (`_type_keys`), and only its first hit of each key is kept.  The
+    batches' first hits are merged by `scan_position`, so each instance is
+    decomposed once, at its first hit in scan order, and the instances are
+    checked in that order.  An end-symmetric hit (a, m, a) with a >= 2 is
+    counted but not keyed: its value is -A(m) whatever a is, and its ends
+    match, so its key reads only m and that value.  So (1, m, 1), of the
+    same length and value, is an earlier hit with the same key; the scanner
+    lists only that one, which skips 532,770 of the 609,982 hits at the
+    stock bounds.  A catalog is built only for a value that some instance
+    carries.  Bad bounds raise DomainError before any catalog, and so does
+    a bound that could reach a value beyond TARGET_MAX, whose catalog
+    `enumerate_types` refuses.
     """
     # numpy stays out of CLI start-up
-    from .exhaustive import _checked_bound, _rows, _scan_batches
+    from .exhaustive import _checked_bound, _scan_batches, scan_position
 
     bound = _checked_bound(max_len, max_entry, value_bound)
     if bound > TARGET_MAX:
@@ -296,18 +295,15 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     # each key's earliest hit so far: (scan position, sequence)
     first: dict[tuple, tuple] = {}
     hits = 0
-    for prefixes, level, flat, values, ends in _scan_batches(max_len, max_entry, bound):
+    for rows, values, ends in _scan_batches(max_len, max_entry, bound):
         # a listed (1, m, 1) stands for (a, m, a) at every a, all with its key
-        hits += values.size + (max_entry - 1) * int(ends.sum())
-        rows = _rows(prefixes, level, flat, max_entry)
+        hits += values.size * (max_entry if ends else 1)
         keys = _type_keys(rows, values, weights[rows.shape[1]])
         at = _first_of_each_row(keys)
-        # a position (prefix, level, flat) compares in scan order as Python
-        # lists do: a prefix before its extensions
-        for i, key, position in zip(at.tolist(), map(tuple, keys[at].tolist()),
-                                    zip(prefixes[at].tolist(), repeat(level), flat[at].tolist())):
+        for key, q in zip(map(tuple, keys[at].tolist()), map(tuple, rows[at].tolist())):
+            position = scan_position(q)
             if key not in first or position < first[key][0]:
-                first[key] = (position, tuple(rows[i].tolist()))
+                first[key] = (position, q)
     catalogs = {}
     violations: list[ViolationRecord] = []
     for (_, q), value in sorted((hit, key[-1]) for key, hit in first.items()):

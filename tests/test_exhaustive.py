@@ -11,27 +11,24 @@ from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound", [
     (6, 4, 6),
-    (4, 5, 7),        # 3 scalar levels, then only the last level vectorized
-    (5, 3, 5),        # two vectorized levels
-    (7, 3, 5),        # four vectorized levels
+    (4, 5, 7),        # shorter than 6: no hit wrapped twice
+    (5, 3, 5),
+    (7, 3, 5),        # hits wrapped twice at lengths 6 and 7
     (9, 1, 3),        # entries all 1: every sequence is a palindrome, no hits
     (6, 4, 1),        # the smallest bound
     (6, 4, 10 ** 6),  # a bound above every value
-    (2, 6, 5),        # shorter than the 3 scalar levels: no vectorized level
-    # hits by an entry other than the first, where R = K(q3..) or Qp is small:
-    (6, 5, 2),        # (1, 1, 4, 2), value -2, from a 3-entry parent
+    (2, 6, 5),        # length 2 only: the empty middle
+    # two-sided hits whose middle (x, *r) has a long r:
+    (6, 5, 2),        # (1, 1, 4, 2), value -2
     (6, 5, 20),
     (5, 8, 8),        # (1, 1, 3, 4, 2), value -8
     (7, 4, 100),
-    # the last level solved from its parents (one-sided, at least two levels):
-    (5, 4, 1),        # from the 3-entry prefix itself
-    (7, 6, 4),        # from a deeper parent level
-    # built and tested, though the bound is the smallest:
-    (4, 6, 1),        # one level, two-sided: F(2) = 1 does not pass B = 1
-    # every q1 comes from the one table of its (q2, q3):
-    (8, 4, 6),        # a non-empty solved level with hits where x != q2
-    (8, 3, 4),        # three two-sided levels, whose children vary with q1,
-                      # above two one-sided ones, whose hits do not
+    (5, 4, 1),
+    (7, 6, 4),
+    (4, 6, 1),
+    # many wrapped hits (1, b, m, b, 1), with b != 1 and two-sided m:
+    (8, 4, 6),
+    (8, 3, 4),
 ])
 def test_scanner_matches_reference(max_len, max_entry, value_bound):
     fast = sorted(scan_small_anticontinuants(max_len, max_entry, value_bound))
@@ -42,9 +39,8 @@ def test_scanner_matches_reference(max_len, max_entry, value_bound):
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound", [(8, 3, 4), (8, 4, 6)])
 def test_one_sided_hits_do_not_depend_on_the_first_entry(max_len, max_entry, value_bound):
-    # a hit of length L whose parent's R = K(q3..) and Qp = K(q2..) are
-    # continuants of L - 3 entries, hence >= F(L - 2) > B, is the child
-    # e = q1 with value -A(q2..), whatever q1 is; the scanner reuses them
+    # a hit of length L with F(L - 2) > B has no two-sided middle, so it is
+    # (a, m, a) with value -A(m), whatever a is; the scanner lists it once
     middles = {a: set() for a in range(1, max_entry + 1)}
     for q, value in scan_small_anticontinuants_reference(max_len, max_entry, value_bound):
         if fibonacci(len(q) - 2) > value_bound:
@@ -56,12 +52,22 @@ def test_one_sided_hits_do_not_depend_on_the_first_entry(max_len, max_entry, val
 
 
 def test_anticontinuant_splits_off_the_ends():
-    # A(a, m, e) = (a - e)*K(m) - A(m): a two-sided candidate of the scanner
-    # depends only on m, and its children's values on q1 = a only through
-    # (a - e)*Q, Q = K(m)
+    # A(a, m, e) = (a - e)*K(m) - A(m), the identity the scanner builds on
     for length in range(4, 8):
         for a, *m, e in product(range(1, 5), repeat=length):
             assert anticontinuant((a, *m, e)) == (a - e) * continuant(m) - anticontinuant(m)
+
+
+def test_two_sided_values_are_bounded_by_a_shorter_middle():
+    # why the scanner looks for the middles of two-sided hits (a, m, e) among
+    # (x, *r) and (*r, x) with K(r) <= B: |A| >= K(m[1:]) when a > e, and
+    # |A| >= K(m[:-1]) when a < e
+    for length in range(7):
+        for m in product(range(1, 5), repeat=length):
+            for a, e in product(range(1, 5), repeat=2):
+                if a != e:
+                    shorter = m[1:] if a > e else m[:-1]
+                    assert abs(anticontinuant((a, *m, e))) >= continuant(shorter)
 
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound, count, digest", [
@@ -73,6 +79,21 @@ def test_scanner_order_is_pinned(max_len, max_entry, value_bound, count, digest)
     hits = list(scan_small_anticontinuants(max_len, max_entry, value_bound))
     assert len(hits) == count
     assert hashlib.sha256(repr(hits).encode()).hexdigest() == digest
+
+
+def test_scanner_order_is_pinned_at_many_bounds():
+    # every max_len <= 9 and max_entry <= 6 with max_entry**max_len <= 2*10**4
+    digest = hashlib.sha256()
+    count = 0
+    for max_len, max_entry in product(range(1, 10), range(1, 7)):
+        if max_entry ** max_len > 2 * 10 ** 4:
+            continue
+        for value_bound in (1, 2, 3, 5, 8, 13, 21, 100, 10 ** 6):
+            hits = list(scan_small_anticontinuants(max_len, max_entry, value_bound))
+            count += len(hits)
+            digest.update(repr((max_len, max_entry, value_bound, hits)).encode())
+    assert count == 263_656
+    assert digest.hexdigest() == "1b4e6ea360467cac98c407274e56c47371b1b99e028e7d7d5ef3ae742db8020f"
 
 
 def test_scanner_values_are_true_anticontinuants():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -8,15 +9,16 @@ import pytest
 from cfasym import exhaustive, verifier
 from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
                               extended_type, type_value)
-from cfasym.cf import expand, parity_by_inverse
-from cfasym.congruence import CongruenceSpec, ExceptionalCertificate
+from cfasym.cf import evaluate, expand, parity_by_inverse
+from cfasym.congruence import (CongruenceSpec, ExceptionalCertificate, FoldedParams,
+                               solve_quadratic)
 from cfasym.errors import DomainError
-from cfasym.exhaustive import (_checked_bound, _rows, _scan_batches, scan_small_anticontinuants,
-                               scan_small_anticontinuants_reference)
+from cfasym.exhaustive import (_checked_bound, _scan_batches, scan_position,
+                               scan_small_anticontinuants, scan_small_anticontinuants_reference)
 from cfasym.verifier import (EnumerationReport, ViolationRecord, _core_weights, _type_keys,
                              _typed_pairs, build_table, verify_enumeration, verify_identities,
                              verify_main_theorem)
-from cfasym.continuants import anticontinuant
+from cfasym.continuants import anticontinuant, fibonacci
 
 SPECS = [CongruenceSpec(sign * n, s) for n in range(1, 7) for sign in (1, -1)
          for s in (0, 1) if (n, s) != (2, 0)]
@@ -413,40 +415,55 @@ def test_end_symmetric_hits_repeat_an_earlier_key(max_len, max_entry, value_boun
 def test_enumeration_builds_rows_only_for_the_hits_it_keys(monkeypatch, max_len, max_entry,
                                                            value_bound):
     # no digit row for an end-symmetric hit (a, m, a) with a >= 2, and no
-    # call for a batch that has none left
+    # batch that has none left
     built = []
 
-    def counting(prefix, level, flat, max_entry):
-        built.append(flat.size)
-        return _rows(prefix, level, flat, max_entry)
+    def recording(*bounds):
+        for rows, values, ends in _scan_batches(*bounds):
+            built.extend(map(tuple, rows.tolist()))
+            yield rows, values, ends
 
-    monkeypatch.setattr(exhaustive, "_rows", counting)
+    monkeypatch.setattr(exhaustive, "_scan_batches", recording)
     bounds = (max_len, max_entry, value_bound)
     report = verify_enumeration(*bounds)
     assert report.ok
-    keyed = sum(1 for q, _ in scan_small_anticontinuants_reference(*bounds)
-                if q[0] < 2 or q[-1] != q[0])
-    assert sum(built) == keyed < report.hits
-    assert min(built) > 0
+    keyed = [q for q, _ in scan_small_anticontinuants_reference(*bounds)
+             if q[0] < 2 or q[-1] != q[0]]
+    assert sorted(built) == sorted(keyed)
+    assert len(built) < report.hits
 
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound",
                          [(8, 3, 4), (8, 4, 6), (5, 4, 1), (2, 6, 5)])
 def test_batch_rows_match_the_batch_form(max_len, max_entry, value_bound):
-    # level 0 (the prefixes' own hits), built one-sided and two-sided levels
-    # and the solved one
+    # two-sided hits and wrapped ones, at one wrap ((1, m, 1)) and at two
+    # ((1, b, m, b, 1))
     bound = _checked_bound(max_len, max_entry, value_bound)
-    levels = set()
-    for prefixes, level, flat, values, ends in _scan_batches(max_len, max_entry, bound):
-        rows = _rows(prefixes, level, flat, max_entry)
-        assert rows.shape == (values.size, prefixes.shape[1] + level)
-        assert 0 < values.size == flat.size == ends.size
+    lengths = set()
+    for rows, values, ends in _scan_batches(max_len, max_entry, bound):
+        assert rows.dtype == values.dtype == np.int64
+        assert rows.ndim == 2 and rows.shape[0] == values.size > 0
         assert [anticontinuant(q) for q in rows.tolist()] == values.tolist()
+        positions = [scan_position(q) for q in rows.tolist()]
+        assert positions == sorted(positions)
         # an end-symmetric hit is listed only as (1, m, 1), for every (a, m, a)
-        assert (rows[ends][:, [0, -1]] == 1).all()
+        assert not ends or (rows[:, [0, -1]] == 1).all()
         assert not ((rows[:, 0] >= 2) & (rows[:, 0] == rows[:, -1])).any()
-        levels.add(level)
-    assert 0 in levels
+        lengths.add(rows.shape[1])
+    assert min(lengths) == 2 and max(lengths) == max_len
+
+
+def test_enumeration_memory_stays_small():
+    # batches of one length, split by the two entries after the leading 1:
+    # the stock check peaks near 1 MB, where one batch per length took 32 MB
+    tracemalloc.start()
+    try:
+        report = verify_enumeration(10, 8, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.hits, report.types, report.ok) == (609_982, 352, True)
+    assert peak < 2 * 10 ** 6
 
 
 def _plain_python_check(bounds, catalog, value_of):
@@ -514,6 +531,26 @@ def test_bool_bounds_are_refused(monkeypatch, call):
     with pytest.raises(DomainError):
         call()
     assert calls == []
+
+
+@pytest.mark.parametrize("call", [
+    lambda: CongruenceSpec(True, 1),
+    lambda: CongruenceSpec(1, True),
+    lambda: verify_main_theorem(CongruenceSpec(True, 1), 30).to_json(),
+    lambda: enumerate_types(True),
+    lambda: FoldedParams(True, 1, 1, 1),
+    lambda: FoldedParams(1, 1, 1, True),
+    lambda: solve_quadratic(CongruenceSpec(1, 0), True),
+    lambda: expand(True, True),
+    lambda: evaluate((True, 2)),
+    lambda: fibonacci(True),
+    lambda: parity_by_inverse(3, True),
+], ids=["spec_n", "spec_s", "report_n", "target", "folded_b", "folded_epsilon", "alpha",
+        "pair", "entry", "fibonacci", "parity"])
+def test_bool_integers_are_refused(call):
+    # each used to pass True as 1, e.g. a report with "n": true
+    with pytest.raises(DomainError):
+        call()
 
 
 def test_enumeration_decomposes_once_per_type(monkeypatch):
