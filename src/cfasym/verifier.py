@@ -270,43 +270,35 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     and 1 <= |anticontinuant| <= value_bound is met, and each distinct type
     instance (c, core, sigma, value) must give its value through the type
     formula and be listed by `enumerate_types(value)`; otherwise it is a
-    "formula_mismatch" or "missing_from_catalog" violation.  Each scanner
-    batch, digit rows of one length in scan order, is keyed whole in numpy
-    (`_type_keys`), and only its first hit of each key is kept.  The
-    batches' first hits are merged by `scan_position`, so each instance is
-    decomposed once, at its first hit in scan order, and the instances are
-    checked in that order.  An end-symmetric hit (a, m, a) with a >= 2 is
-    counted but not keyed: its value is -A(m) whatever a is, and its ends
-    match, so its key reads only m and that value.  So (1, m, 1), of the
-    same length and value, is an earlier hit with the same key; the scanner
-    lists only that one, which skips 532,770 of the 609,982 hits at the
-    stock bounds.  A catalog is built only for a value that some instance
-    carries.  Bad bounds raise DomainError before any catalog, and so does
-    a bound that could reach a value beyond TARGET_MAX, whose catalog
-    `enumerate_types` refuses.
+    "formula_mismatch" or "missing_from_catalog" violation.  The scanner's
+    two-sided blocks give the instances, the hit count and each instance's
+    first hit in scan order directly (see `cfasym.exhaustive`), so no hit
+    is listed: the stock bounds have 609,982 hits but 88 blocks and 352
+    instances.  Each instance is decomposed once, at its first hit, and the
+    instances are checked in the order of those hits.  A catalog is built
+    only for a value that some instance carries.  Bad bounds raise
+    DomainError before any catalog, and so does a bound that could reach a
+    value beyond TARGET_MAX, whose catalog `enumerate_types` refuses.
     """
-    # numpy stays out of CLI start-up
-    from .exhaustive import _checked_bound, _scan_batches, scan_position
+    # the scanner stays out of CLI start-up
+    from .exhaustive import _checked_bound, _two_sided_blocks, scan_position
 
     bound = _checked_bound(max_len, max_entry, value_bound)
     if bound > TARGET_MAX:
         raise DomainError(f"value_bound must be at most {TARGET_MAX}, got {value_bound}")
-    weights = [_core_weights(length, max_entry + 1) for length in range(max_len + 1)]
-    # each key's earliest hit so far: (scan position, sequence)
-    first: dict[tuple, tuple] = {}
+    first = []  # each instance's first hit: (scan position, sequence, value)
     hits = 0
-    for rows, values, ends in _scan_batches(max_len, max_entry, bound):
-        # a listed (1, m, 1) stands for (a, m, a) at every a, all with its key
-        hits += values.size * (max_entry if ends else 1)
-        keys = _type_keys(rows, values, weights[rows.shape[1]])
-        at = _first_of_each_row(keys)
-        for key, q in zip(map(tuple, keys[at].tolist()), map(tuple, rows[at].tolist())):
-            position = scan_position(q)
-            if key not in first or position < first[key][0]:
-                first[key] = (position, q)
+    for m, d, v in _two_sided_blocks(max_len, max_entry, bound):
+        depths = range((max_len - len(m)) // 2)  # of the outer layer
+        hits += 2 * (max_entry - d) * sum(max_entry ** depth for depth in depths)
+        for block, value in [((1 + d, *m, 1), v), ((1, *m[::-1], 1 + d), -v)]:
+            for parity in range(min(2, len(depths))):
+                q = min(((1,) * depth + block + (1,) * depth for depth in depths[parity::2]),
+                        key=scan_position)
+                first.append((scan_position(q), q, -value if parity else value))
     catalogs = {}
     violations: list[ViolationRecord] = []
-    for (_, q), value in sorted((hit, key[-1]) for key, hit in first.items()):
+    for _, q, value in sorted(first):
         dec = decompose(q)
         if type_value(extended_type(dec)) != value:
             violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
@@ -316,52 +308,6 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
         if not catalogs[value].contains(dec.c, dec.core, dec.sigma):
             violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
     return EnumerationReport(hits, len(first), tuple(violations))
-
-
-def _first_of_each_row(keys):
-    """The index of the first occurrence of each distinct row of `keys` (k x 4)."""
-    import numpy as np
-
-    order = np.lexsort(keys.T)  # stable: equal rows keep their order
-    ranked = keys[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (ranked[1:] != ranked[:-1]).any(axis=1)
-    return order[new]
-
-
-def _core_weights(length: int, base: int):
-    """Row d packs the core of a depth-d sequence of this length (L x L).
-
-    Entry i of the core q[d+1 : L-1-d] weighs base^(L-2-d-i), so the core
-    reads as a number in `base` > every entry, first entry most significant;
-    entries outside it weigh 0.
-    """
-    import numpy as np
-
-    cols = np.arange(length)
-    exponents = (length - 2 - cols)[:, None] - cols
-    inside = (exponents >= 0) & (cols > cols[:, None])
-    return np.where(inside, base ** np.maximum(exponents, 0), 0)
-
-
-def _type_keys(rows, values, weights):
-    """Rows (c, packed core, sigma, value) for a batch of asymmetric sequences of one length.
-
-    This is `decompose` in numpy: the depth d is each row's first mismatch
-    with its reverse, c = (q[d] - q[L-1-d]) * (-1)^d, sigma = d % 2, and the
-    core is packed by row d of `weights`, the `_core_weights` of the rows'
-    length.  Entries are at least 1, so the number also fixes the core's
-    length, and it is below base^L, which the scanner's guard keeps under
-    2^62.
-    """
-    import numpy as np
-
-    k, length = rows.shape
-    d = np.argmax(rows != rows[:, ::-1], axis=1)
-    at = np.arange(k)
-    c = (rows[at, d] - rows[at, length - 1 - d]) * (1 - 2 * (d % 2))
-    packed = (rows * weights[d]).sum(axis=1)
-    return np.stack([c, packed, d % 2, values], axis=1)
 
 
 class TableEntry(NamedTuple):

@@ -207,6 +207,18 @@ def test_main_reports_bad_input_without_raising(capsys, argv):
     assert err.startswith(("cfasym", "usage:"))
 
 
+def test_verify_enumeration_refuses_a_large_entry_bound_at_once():
+    # refused at the call, before any middle (x, *r) is listed; not a 10^9 loop
+    done = subprocess.run(
+        [sys.executable, "-m", "cfasym.cli", "verify", "enumeration", "--max-len", "3",
+         "--max-entry", "1000000000"],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("cfasym: domain error: max_entry must be at most 1000, "
+                           "got 1000000000\n")
+
+
 def test_env_format_default(capsys, monkeypatch):
     monkeypatch.setenv("CFASYM_FORMAT", "json")
     code, out, _ = run(capsys, "expand", "25", "7")

@@ -5,7 +5,7 @@ import pytest
 
 from cfasym.continuants import anticontinuant, continuant, fibonacci
 from cfasym.errors import DomainError
-from cfasym.exhaustive import (_checked_bound, scan_small_anticontinuants,
+from cfasym.exhaustive import (ENTRY_MAX, _checked_bound, scan_small_anticontinuants,
                                scan_small_anticontinuants_reference)
 
 
@@ -137,8 +137,21 @@ def test_scanner_validates_at_the_call():
 
 @pytest.mark.parametrize("max_len, max_entry", [(39, 2), (61, 1)])
 def test_int64_guard_at_its_exact_boundary(max_len, max_entry):
-    # (max_entry + 1) ** max_len is just below 2^62 here and reaches it one entry
-    # longer; only the guard is called, never a scan at these bounds
+    # the guard on the size of the sequence space: (max_entry + 1) ** max_len
+    # is just below 2^62 here and reaches it one entry longer; only the guard
+    # is called, never a scan at these bounds
     assert _checked_bound(max_len, max_entry, 5) == 5
-    with pytest.raises(DomainError, match="exact int64 range"):
+    with pytest.raises(DomainError, match="sequence space"):
         _checked_bound(max_len + 1, max_entry, 5)
+
+
+def test_entry_cap_at_its_exact_boundary():
+    # past ENTRY_MAX the two-sided middles (x, *r) grow with max_entry; only
+    # the guard is called, never a scan at these bounds
+    assert ENTRY_MAX == 1000
+    assert _checked_bound(1, ENTRY_MAX, 5) == 5
+    assert _checked_bound(6, ENTRY_MAX, 8) == 8  # the longest length it allows
+    with pytest.raises(DomainError, match="max_entry must be at most 1000"):
+        _checked_bound(1, ENTRY_MAX + 1, 5)
+    with pytest.raises(DomainError, match="max_entry"):
+        _checked_bound(2, 10 ** 9, 10 ** 9)

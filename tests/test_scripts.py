@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from cfasym import cli
 from cfasym.cli import DOMAIN_EXIT
-from cfasym.exhaustive import scan_small_anticontinuants_reference
-from cfasym.verifier import build_table, verify_identities
+from cfasym.exhaustive import scan_small_anticontinuants, scan_small_anticontinuants_reference
+from cfasym.verifier import build_table, verify_enumeration, verify_identities
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -91,6 +92,39 @@ def test_scan_enumeration_script_counts_unprinted_misses(capsys, monkeypatch, no
     assert len(err) == 51  # 50 of the 64 misses, then the count of the rest
     assert all(line.startswith("MISS seq=") for line in err[:50])
     assert err[-1] == "  ... and 14 more"
+
+
+_WITHOUT_NUMPY = """
+import runpy, sys
+sys.modules["numpy"] = None  # so that import numpy raises ImportError
+from cfasym import cli, verify_enumeration
+from cfasym.exhaustive import scan_small_anticontinuants
+print(repr(verify_enumeration(6, 4, 6)))
+print(repr(list(scan_small_anticontinuants(6, 4, 6))))
+cli.main({cli_argv!r})
+sys.argv = {script_argv!r}
+runpy.run_path(sys.argv[0], run_name="scan_enumeration")["main"]()
+"""
+
+
+def test_enumeration_check_runs_without_numpy(capsys, monkeypatch):
+    # numpy is a test dependency only: the library, the CLI and the scan
+    # script give the same output in a process where it cannot be imported
+    cli_argv = "verify enumeration --max-len 4 --max-entry 3 --value-bound 2".split()
+    script_argv = [str(SCAN_SCRIPT), "--max-len", "6", "--max-entry", "4", "--value-bound", "6"]
+    print(repr(verify_enumeration(6, 4, 6)))
+    print(repr(list(scan_small_anticontinuants(6, 4, 6))))
+    cli.main(cli_argv)
+    monkeypatch.setattr(sys, "argv", script_argv)
+    runpy.run_path(str(SCAN_SCRIPT), run_name="scan_enumeration")["main"]()
+    expected = capsys.readouterr().out
+    code = _WITHOUT_NUMPY.format(cli_argv=cli_argv, script_argv=script_argv)
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 0, done.stderr
+    elapsed = re.compile(r"\[\d+\.\ds\]")  # the script's timing
+    assert elapsed.sub("", done.stdout) == elapsed.sub("", expected)
+    assert len(expected.splitlines()) == 5
 
 
 def _run_verification(monkeypatch, out):

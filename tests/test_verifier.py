@@ -3,21 +3,19 @@ import json
 import tracemalloc
 from math import gcd
 
-import numpy as np
 import pytest
 
-from cfasym import exhaustive, verifier
+from cfasym import verifier
 from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
                               extended_type, type_value)
 from cfasym.cf import evaluate, expand, parity_by_inverse
 from cfasym.congruence import (CongruenceSpec, ExceptionalCertificate, FoldedParams,
                                solve_quadratic)
 from cfasym.errors import DomainError
-from cfasym.exhaustive import (_checked_bound, _scan_batches, scan_position,
+from cfasym.exhaustive import (_checked_bound, _two_sided_blocks, scan_position,
                                scan_small_anticontinuants, scan_small_anticontinuants_reference)
-from cfasym.verifier import (EnumerationReport, ViolationRecord, _core_weights, _type_keys,
-                             _typed_pairs, build_table, verify_enumeration, verify_identities,
-                             verify_main_theorem)
+from cfasym.verifier import (EnumerationReport, ViolationRecord, _typed_pairs, build_table,
+                             verify_enumeration, verify_identities, verify_main_theorem)
 from cfasym.continuants import anticontinuant, fibonacci
 
 SPECS = [CongruenceSpec(sign * n, s) for n in range(1, 7) for sign in (1, -1)
@@ -371,28 +369,42 @@ def test_enumeration_builds_only_the_catalogs_it_reads(monkeypatch):
 
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound", [(7, 4, 6), (6, 5, 10)])
-def test_type_keys_match_decompose(max_len, max_entry, value_bound):
-    base = max_entry + 1
-    by_length = {}
-    for q, value in scan_small_anticontinuants_reference(max_len, max_entry, value_bound):
-        by_length.setdefault(len(q), []).append((q, value))
-    assert len(by_length) == max_len - 1  # every length but 1, which has no hits
-    for hits in by_length.values():
-        rows = np.array([q for q, _ in hits], dtype=np.int64)
-        values = np.array([v for _, v in hits], dtype=np.int64)
-        weights = _core_weights(rows.shape[1], base)
-        for (q, value), key in zip(hits, _type_keys(rows, values, weights).tolist()):
-            dec = decompose(q)
-            packed = 0
-            for e in dec.core:
-                packed = packed * base + e
-            assert key == [dec.c, packed, dec.depth % 2, value]
+def test_blocks_give_each_hit_its_key_count_and_first_hit(max_len, max_entry, value_bound):
+    # the three facts verify_enumeration reads off the two-sided blocks: a hit
+    # with outer depth D around (a, m, e) carries the key of its block (m, d),
+    # d = |a - e|, with the signs of c and the value flipped when D is odd; a
+    # block has 2*(max_entry - d)*sum(max_entry**D) hits; and the twin with
+    # an all-ones outer layer around the smaller end 1 is a hit with the same
+    # key and value, no later in scan order
+    bounds = (max_len, max_entry, value_bound)
+    blocks = {(m, d): v for m, d, v in _two_sided_blocks(max_len, max_entry,
+                                                         _checked_bound(*bounds))}
+    hits = dict(scan_small_anticontinuants_reference(*bounds))
+    counts = dict.fromkeys(blocks, 0)
+    for q, value in hits.items():
+        depth = next(i for i in range(len(q)) if q[i] != q[-1 - i])
+        a, *m, e = q[depth:len(q) - depth]
+        sign = (-1) ** depth
+        block = (tuple(m), a - e) if a > e else (tuple(m[::-1]), e - a)
+        counts[block] += 1
+        block_value = blocks[block] if a > e else -blocks[block]
+        key = ((a - e) * sign, tuple(m), ("even", "odd")[depth % 2], sign * block_value)
+        dec = decompose(q)
+        assert (dec.c, dec.core, dec.sigma, value) == key
+        low = min(a, e) - 1
+        twin = (1,) * depth + (a - low, *m, e - low) + (1,) * depth
+        dec = decompose(twin)
+        assert (dec.c, dec.core, dec.sigma, hits[twin]) == key
+        assert scan_position(twin) <= scan_position(q)
+    for (m, d), count in counts.items():
+        depths = range((max_len - len(m)) // 2)
+        assert count == 2 * (max_entry - d) * sum(max_entry ** depth for depth in depths)
 
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound", [(7, 4, 6), (6, 5, 10)])
 def test_end_symmetric_hits_repeat_an_earlier_key(max_len, max_entry, value_bound):
-    # why verify_enumeration keys no hit (a, m, a) with a >= 2: its value is
-    # -A(m) for every a, so (1, m, 1) is a hit too, earlier, with its key
+    # an end-symmetric hit (a, m, a) has the value -A(m) for every a, so
+    # (1, m, 1) is a hit too, earlier, with its key
     bounds = (max_len, max_entry, value_bound)
     hits = dict(scan_small_anticontinuants_reference(*bounds))
     order = {q: k for k, (q, _) in enumerate(scan_small_anticontinuants(*bounds))}
@@ -405,57 +417,14 @@ def test_end_symmetric_hits_repeat_an_earlier_key(max_len, max_entry, value_boun
         assert value == -anticontinuant(q[1:-1])
         assert hits[first] == value
         assert order[first] < order[q]
-        rows = np.array([first, q], dtype=np.int64)
-        keys = _type_keys(rows, np.array([value, value]), _core_weights(len(q), max_entry + 1))
-        assert keys[0].tolist() == keys[1].tolist()
+        dec_first, dec = decompose(first), decompose(q)
+        assert (dec_first.c, dec_first.core, dec_first.sigma) == (dec.c, dec.core, dec.sigma)
     assert repeats > 0
 
 
-@pytest.mark.parametrize("max_len, max_entry, value_bound", [(8, 4, 6), (7, 4, 6)])
-def test_enumeration_builds_rows_only_for_the_hits_it_keys(monkeypatch, max_len, max_entry,
-                                                           value_bound):
-    # no digit row for an end-symmetric hit (a, m, a) with a >= 2, and no
-    # batch that has none left
-    built = []
-
-    def recording(*bounds):
-        for rows, values, ends in _scan_batches(*bounds):
-            built.extend(map(tuple, rows.tolist()))
-            yield rows, values, ends
-
-    monkeypatch.setattr(exhaustive, "_scan_batches", recording)
-    bounds = (max_len, max_entry, value_bound)
-    report = verify_enumeration(*bounds)
-    assert report.ok
-    keyed = [q for q, _ in scan_small_anticontinuants_reference(*bounds)
-             if q[0] < 2 or q[-1] != q[0]]
-    assert sorted(built) == sorted(keyed)
-    assert len(built) < report.hits
-
-
-@pytest.mark.parametrize("max_len, max_entry, value_bound",
-                         [(8, 3, 4), (8, 4, 6), (5, 4, 1), (2, 6, 5)])
-def test_batch_rows_match_the_batch_form(max_len, max_entry, value_bound):
-    # two-sided hits and wrapped ones, at one wrap ((1, m, 1)) and at two
-    # ((1, b, m, b, 1))
-    bound = _checked_bound(max_len, max_entry, value_bound)
-    lengths = set()
-    for rows, values, ends in _scan_batches(max_len, max_entry, bound):
-        assert rows.dtype == values.dtype == np.int64
-        assert rows.ndim == 2 and rows.shape[0] == values.size > 0
-        assert [anticontinuant(q) for q in rows.tolist()] == values.tolist()
-        positions = [scan_position(q) for q in rows.tolist()]
-        assert positions == sorted(positions)
-        # an end-symmetric hit is listed only as (1, m, 1), for every (a, m, a)
-        assert not ends or (rows[:, [0, -1]] == 1).all()
-        assert not ((rows[:, 0] >= 2) & (rows[:, 0] == rows[:, -1])).any()
-        lengths.add(rows.shape[1])
-    assert min(lengths) == 2 and max(lengths) == max_len
-
-
 def test_enumeration_memory_stays_small():
-    # batches of one length, split by the two entries after the leading 1:
-    # the stock check peaks near 1 MB, where one batch per length took 32 MB
+    # the check lists no hit, only the 88 two-sided blocks at the stock
+    # bounds, and peaks near 0.1 MB
     tracemalloc.start()
     try:
         report = verify_enumeration(10, 8, 8)
@@ -467,8 +436,8 @@ def test_enumeration_memory_stays_small():
 
 
 def _plain_python_check(bounds, catalog, value_of):
-    # verify_enumeration without numpy: every hit in scan order, keyed by
-    # decompose, the first hit of each key checked
+    # verify_enumeration from the listed hits: every hit in scan order, keyed
+    # by decompose, the first hit of each key checked
     seen = set()
     violations = []
     hits = 0
@@ -487,11 +456,18 @@ def _plain_python_check(bounds, catalog, value_of):
 
 
 @pytest.mark.parametrize("bounds", [
-    (3, 2, 80),  # no table: only the prefixes' own hits
-    (5, 4, 1),   # the last level solved from the 3-entry prefix
-    (7, 4, 30),  # a two-sided last level
-    (8, 3, 4),   # two-sided children that vary with q1
-    (8, 4, 6),   # solved-level hits where x != q2
+    (3, 2, 80),  # every value up to the largest reachable one
+    (5, 4, 1),   # the smallest bound
+    (7, 4, 30),  # blocks whose middle (x, *r) has a long r
+    (8, 3, 4),   # outer layers of depth 1 to 3
+    (8, 4, 6),
+    (4, 5, 7),   # odd outer depths only around blocks of length 2
+    (7, 3, 5),
+    (9, 1, 3),   # entries all 1: no block, no hit
+    (2, 6, 5),   # length 2 only: no odd outer depth
+    (6, 4, 1),
+    (7, 6, 4),
+    (4, 6, 1),
 ], ids=lambda bounds: "-".join(map(str, bounds)))
 def test_enumeration_matches_a_plain_python_check(monkeypatch, bounds):
     catalogs = {}
