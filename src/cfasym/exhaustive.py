@@ -18,9 +18,11 @@ with a > e has a middle m = (x, *r) with K(r) <= B, and a pruned
 depth-first search lists those r (a continuant grows as entries are
 appended).  Each middle is checked exactly: the value is v = d*K(m) - A(m)
 with d = a - e >= 1, so only d <= (A(m) + B) // K(m) can give a hit, and
-every such (a, e) does.  The two-sided block (m, d, v) stands for the hits
-(e + d, m, e) with value v and their reversals (e, rev m, e + d) with
-value -v, as A(reversed q) = -A(q), for e in 1..max_entry - d.
+every such (a, e) does.  For each r the walk stops x at the first middle
+whose d = 1 value passes B, as that value never decreases in x.  The
+two-sided block (m, d, v) stands for the hits (e + d, m, e) with value v
+and their reversals (e, rev m, e + d) with value -v, as
+A(reversed q) = -A(q), for e in 1..max_entry - d.
 
 Type instances.  Every hit is a block's hit wrapped in a symmetric outer
 layer of some depth D, and `verify_enumeration` reads its type instance
@@ -41,9 +43,9 @@ Scan order.  `scan_position` orders hits by their first three entries, then
 the length, then the other entries from the last one back.  It keeps the
 order of the earlier level-by-level scan (three-entry prefixes depth
 first, then the entries after them read with the last one most
-significant), because pinned outputs record it: the hit order of
-`scan_small_anticontinuants`, and the sequence that a `verify_enumeration`
-violation names, the first hit of its type instance in scan order.
+significant), because pinned outputs record it: the sequence that a
+`verify_enumeration` violation names, the first hit of its type instance
+in scan order, and the hit order of the tests' listing `tests/scanning.py`.
 
 All arithmetic is in Python ints.  The scan uses continuant algebra only,
 no type theory, so it stays an independent check of the type catalog.
@@ -51,42 +53,17 @@ no type theory, so it stays an independent check of the type catalog.
 
 from __future__ import annotations
 
-from itertools import product
 from typing import Iterator
 
 from .continuants import _continuant
 from .errors import DomainError, is_int
 
-ENTRY_MAX = 1000  # largest max_entry scanned; past it the middles (x, *r) grow with it
-_SEQUENCE_SPACE_MAX = 2 ** 62  # (max_entry + 1)**max_len must stay below it
-
-
-def scan_small_anticontinuants(max_len: int, max_entry: int,
-                               value_bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield (sequence, anticontinuant) for every sequence with 1 <= |value| <= value_bound.
-
-    The hits come in scan order (`scan_position`).  The bounds are checked
-    here, at the call; the first `next` runs the whole scan, since the hits
-    are sorted before any is yielded.
-    """
-    bound = _checked_bound(max_len, max_entry, value_bound)
-
-    def in_scan_order():
-        entries = range(1, max_entry + 1)
-        blocks: dict[int, list] = {}
-        for m, d, v in _two_sided_blocks(max_len, max_entry, bound):
-            blocks.setdefault(len(m) + 2, []).append((m, d, v))
-        hits: list[list] = [[], []]  # by length
-        for length in range(2, max_len + 1):
-            level = [((a, *h, a), -v) for h, v in hits[length - 2] for a in entries]
-            for m, d, v in blocks.get(length, ()):
-                for e in range(1, max_entry - d + 1):
-                    level += [((e + d, *m, e), v), ((e, *m[::-1], e + d), -v)]
-            hits.append(level)
-        yield from sorted((hit for level in hits for hit in level),
-                          key=lambda hit: scan_position(hit[0]))
-
-    return in_scan_order()
+# largest max_entry: the walk visits at most B + 1 middles (x, *r) for each r
+# but value 2's (x, 1), one for every x, so only those grow with max_entry
+ENTRY_MAX = 1000
+# (max_entry + 1)**max_len, the sequences a check stands for, stays below it:
+# it caps max_len, the walk's length loop and the hit count reported
+_SEQUENCE_SPACE_MAX = 2 ** 62
 
 
 def scan_position(q):
@@ -134,25 +111,16 @@ def _two_sided_blocks(max_len: int, max_entry: int, bound: int
                 search((*r, e), e * k + k_prev, k)
 
     search((), 1, 0)
-    for length in range(2, max_len + 1):
-        for m in [()] if length == 2 else ((x, *r) for x in entries for r in small[length - 3]):
-            k = _continuant(m, 0, len(m) - 1)
-            a_m = _continuant(m, 0, len(m) - 2) - _continuant(m, 1, len(m) - 1)
-            for d in range(1, min(max_entry - 1, (a_m + bound) // k) + 1):
-                yield m, d, d * k - a_m
-
-
-def scan_small_anticontinuants_reference(max_len: int, max_entry: int,
-                                         value_bound: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Plain-Python oracle for the block scan; use only at small bounds."""
-    for length in range(1, max_len + 1):
-        for q in product(range(1, max_entry + 1), repeat=length):
-            pm2, pm1 = 1, q[0]
-            for e in q[1:]:
-                pm2, pm1 = pm1, e * pm1 + pm2
-            qm2, qm1 = 0, 1
-            for e in q[1:]:
-                qm2, qm1 = qm1, e * qm1 + qm2
-            value = pm2 - qm1
-            if 1 <= abs(value) <= value_bound:
-                yield q, value
+    if max_len >= 2:  # the empty middle: K = 1 and A = 0, so v = d
+        yield from (((), d, d) for d in range(1, min(max_entry - 1, bound) + 1))
+    for length in range(3, max_len + 1):
+        for r in small[length - 3]:
+            # the d = 1 value K(m) - A(m) grows with x by K(r) - K(r[:-1]) >= 0,
+            # which is 0 only for value 2's middles (x, 1): stop past the bound
+            for m in ((x, *r) for x in entries):
+                k = _continuant(m, 0, len(m) - 1)
+                a_m = _continuant(m, 0, len(m) - 2) - _continuant(m, 1, len(m) - 1)
+                if k - a_m > bound:
+                    break
+                for d in range(1, min(max_entry - 1, (a_m + bound) // k) + 1):
+                    yield m, d, d * k - a_m

@@ -3,10 +3,11 @@ from itertools import product
 
 import pytest
 
+from cfasym import verify_enumeration
 from cfasym.continuants import anticontinuant, continuant, fibonacci
 from cfasym.errors import DomainError
-from cfasym.exhaustive import (ENTRY_MAX, _checked_bound, scan_small_anticontinuants,
-                               scan_small_anticontinuants_reference)
+from cfasym.exhaustive import ENTRY_MAX, _checked_bound, _two_sided_blocks
+from scanning import scan_small_anticontinuants, scan_small_anticontinuants_reference
 
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound", [
@@ -102,6 +103,18 @@ def test_scanner_values_are_true_anticontinuants():
         assert 1 <= abs(value) <= 4
 
 
+@pytest.mark.parametrize("bounds, count, digest", [
+    ((6, 1000, 128), 29_031, "860f2596ef031bc9594dd3347083a2c869c4e89d3496b4e73ea00754e2b92618"),
+    ((8, 128, 128), 42_796, "e27e3f3d595985c7dc6e087dd61cf5de06f74be1785b45ebe24050e482241cde"),
+])
+def test_two_sided_blocks_are_pinned(bounds, count, digest):
+    # the walk stops each row of middles (x, *r) at the value bound; the
+    # blocks, in any order, are those of the unpruned walk
+    blocks = sorted(_two_sided_blocks(*bounds[:2], _checked_bound(*bounds)))
+    assert len(blocks) == count
+    assert hashlib.sha256(repr(blocks).encode()).hexdigest() == digest
+
+
 def test_scanner_finds_known_hits():
     hits = dict(scan_small_anticontinuants(4, 6, 5))
     assert hits[(5, 1)] == 4
@@ -116,6 +129,9 @@ def test_scanner_rejects_unsafe_bounds():
         scan_small_anticontinuants(80, 200, 5).__next__()
     with pytest.raises(DomainError):
         next(scan_small_anticontinuants(0, 3, 5))
+    for bounds in [(80, 200, 5), (0, 3, 5)]:
+        with pytest.raises(DomainError):
+            verify_enumeration(*bounds)
 
 
 @pytest.mark.parametrize("value_bound", [2 ** 62, 2 ** 63 - 1, 10 ** 30])
@@ -133,6 +149,8 @@ def test_scanner_validates_at_the_call():
     for bounds in [(6.0, 4, 2), (6, 4.0, 2), (6, 4, 2.5)]:
         with pytest.raises(DomainError, match="integers"):
             scan_small_anticontinuants(*bounds)
+        with pytest.raises(DomainError, match="integers"):
+            verify_enumeration(*bounds)
 
 
 @pytest.mark.parametrize("max_len, max_entry", [(39, 2), (61, 1)])
@@ -146,8 +164,8 @@ def test_int64_guard_at_its_exact_boundary(max_len, max_entry):
 
 
 def test_entry_cap_at_its_exact_boundary():
-    # past ENTRY_MAX the two-sided middles (x, *r) grow with max_entry; only
-    # the guard is called, never a scan at these bounds
+    # the walk's value 2 middles (x, 1) run to max_entry, so it is capped;
+    # only the guard is called, never a scan at these bounds
     assert ENTRY_MAX == 1000
     assert _checked_bound(1, ENTRY_MAX, 5) == 5
     assert _checked_bound(6, ENTRY_MAX, 8) == 8  # the longest length it allows

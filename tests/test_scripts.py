@@ -9,8 +9,8 @@ import pytest
 
 from cfasym import cli
 from cfasym.cli import DOMAIN_EXIT
-from cfasym.exhaustive import scan_small_anticontinuants, scan_small_anticontinuants_reference
 from cfasym.verifier import build_table, verify_enumeration, verify_identities
+from scanning import scan_small_anticontinuants, scan_small_anticontinuants_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
@@ -98,7 +98,7 @@ _WITHOUT_NUMPY = """
 import runpy, sys
 sys.modules["numpy"] = None  # so that import numpy raises ImportError
 from cfasym import cli, verify_enumeration
-from cfasym.exhaustive import scan_small_anticontinuants
+from scanning import scan_small_anticontinuants
 print(repr(verify_enumeration(6, 4, 6)))
 print(repr(list(scan_small_anticontinuants(6, 4, 6))))
 cli.main({cli_argv!r})
@@ -119,8 +119,9 @@ def test_enumeration_check_runs_without_numpy(capsys, monkeypatch):
     runpy.run_path(str(SCAN_SCRIPT), run_name="scan_enumeration")["main"]()
     expected = capsys.readouterr().out
     code = _WITHOUT_NUMPY.format(cli_argv=cli_argv, script_argv=script_argv)
+    path = os.pathsep.join(str(ROOT / d) for d in ("src", "tests"))  # tests/ for scanning.py
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+                          env={**os.environ, "PYTHONPATH": path})
     assert done.returncode == 0, done.stderr
     elapsed = re.compile(r"\[\d+\.\ds\]")  # the script's timing
     assert elapsed.sub("", done.stdout) == elapsed.sub("", expected)

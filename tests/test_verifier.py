@@ -12,11 +12,11 @@ from cfasym.cf import evaluate, expand, parity_by_inverse
 from cfasym.congruence import (CongruenceSpec, ExceptionalCertificate, FoldedParams,
                                solve_quadratic)
 from cfasym.errors import DomainError
-from cfasym.exhaustive import (_checked_bound, _two_sided_blocks, scan_position,
-                               scan_small_anticontinuants, scan_small_anticontinuants_reference)
+from cfasym.exhaustive import _checked_bound, _two_sided_blocks, scan_position
 from cfasym.verifier import (EnumerationReport, ViolationRecord, _typed_pairs, build_table,
                              verify_enumeration, verify_identities, verify_main_theorem)
 from cfasym.continuants import anticontinuant, fibonacci
+from scanning import scan_small_anticontinuants, scan_small_anticontinuants_reference
 
 SPECS = [CongruenceSpec(sign * n, s) for n in range(1, 7) for sign in (1, -1)
          for s in (0, 1) if (n, s) != (2, 0)]
