@@ -4,7 +4,9 @@
 Sweeps the identity checks, the refined root/type correspondence for every
 (n, s) with 1 <= |n| <= n_max (skipping the excluded s = 0, n = +-2), and
 rebuilds the type/exception table.  JSON and CSV artifacts land in --out.
-Exits 3 if any sweep records a violation.
+Exits 3 if any sweep records a violation.  Exits 2, as `cfasym` does on a
+domain error, with one line on stderr if a sweep refuses its bounds; an
+--n-max past TARGET_MAX is refused before the first sweep.
 """
 
 import argparse
@@ -14,7 +16,10 @@ import time
 from pathlib import Path
 
 from cfasym.congruence import CongruenceSpec
+from cfasym.errors import DomainError
 from cfasym.verifier import build_table, verify_identities, verify_main_theorem
+
+_DOMAIN_EXIT = 2  # cfasym.cli.DOMAIN_EXIT
 
 
 def main() -> int:
@@ -26,7 +31,16 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=6)
     parser.add_argument("--out", type=Path, default=Path("reports"))
     args = parser.parse_args()
+    try:
+        return _sweep(args)
+    except DomainError as exc:
+        print(f"run_verification: domain error: {exc}", file=sys.stderr)
+        return _DOMAIN_EXIT
 
+
+def _sweep(args) -> int:
+    # the table first: build_table refuses a bad --n-max before any sweep runs
+    doc = build_table(args.n_max)
     args.out.mkdir(parents=True, exist_ok=True)
     failed = False
 
@@ -59,7 +73,6 @@ def main() -> int:
     (args.out / "main_theorem_all.json").write_text(
         json.dumps(summaries, sort_keys=True) + "\n")
 
-    doc = build_table(args.n_max)
     (args.out / "table.csv").write_text(doc.to_csv())
     (args.out / "table.txt").write_text(doc.to_text())
     print(f"table: {len(doc.rows)} row groups written to {args.out / 'table.csv'}")

@@ -14,12 +14,14 @@ on c, the core, and the parity of depth:
 with K the continuant, A the anticontinuant and sigma the depth parity.
 `enumerate_types` inverts this: it lists every (c, core, sigma) achieving a
 given value.  For value +-2 two one-parameter families arise and are kept
-parametric rather than materialized.
+parametric rather than materialized.  The search for one value meets every
+core of smaller value on its way, so it keeps them all: one search serves
+every value up to a bound, and `enumerate_types` reads one value off it.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Literal, NamedTuple, Optional
+from typing import Literal, NamedTuple, Optional
 
 from .continuants import _check_entries, _continuant, fibonacci
 from .errors import DomainError, is_int
@@ -166,6 +168,10 @@ def extended_type(dec: AsymmetryDecomposition) -> ExtendedAsymmetryType:
 
 def type_value(t: ExtendedAsymmetryType) -> int:
     """Anticontinuant of every sequence carrying this extended type."""
+    if not is_int(t.c):
+        raise DomainError(f"marginal must be an integer, got {t.c!r}")
+    if t.sigma not in _SIGMA_ORDER:
+        raise DomainError(f"sigma must be even or odd, got {t.sigma!r}")
     if t.c == 0:
         raise DomainError("value of a symmetric type is 0; marginal must be nonzero")
     core = tuple(t.core)
@@ -181,41 +187,69 @@ def _sigma_even_value(c: int, core: tuple[int, ...]) -> int:
     return c * _continuant(core, 0, last) - a
 
 
-def _matching_cores(c: int, lam: int, target: int) -> Iterator[tuple[int, ...]]:
-    """Cores with entries in [1, target] whose sigma-even value equals target.
+def _sigma_even_pairs(bound: int) -> dict[int, list[tuple[int, tuple[int, ...]]]]:
+    """The sigma-even (c, core) of every type of each value 1..bound, from one search.
 
-    The sigma-even value is monotone nondecreasing in every entry, so a
-    prefix whose all-ones completion already exceeds the target is dead.
+    Search bounds: |c| * F_{lambda+1} <= value caps the core length and the
+    marginal, and outside the value-2 parametric families every core entry
+    divides into a positively weighted term of the value, so entries are
+    capped by the value.  So the cores of sigma-even value at most `bound`
+    hold the types of every value up to it, and one walk keeps each core
+    under its value.  The sigma-even value is monotone nondecreasing in
+    every entry, so a prefix whose all-ones completion already exceeds the
+    bound is dead.  The family cores (1; p,1) are left to `_catalog`.
     """
-    def rec(prefix: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == lam:
-            if _sigma_even_value(c, prefix) == target:
-                yield prefix
-            return
-        for entry in range(1, target + 1):
+    pairs: dict[int, list[tuple[int, tuple[int, ...]]]] = {v: [] for v in range(1, bound + 1)}
+
+    def walk(c: int, lam: int, prefix: tuple[int, ...]) -> None:
+        for entry in range(1, bound + 1):
             grown = prefix + (entry,)
-            floor = grown + (1,) * (lam - len(grown))
-            if _sigma_even_value(c, floor) > target:
+            left = lam - len(grown)
+            value = _sigma_even_value(c, grown + (1,) * left)
+            if value > bound:
                 break
-            yield from rec(grown)
+            if left:
+                walk(c, lam, grown)
+            elif c != 1 or grown[1:] != (1,):  # (1; p,1) stays a family of value 2
+                pairs[value].append((c, grown))
 
-    yield from rec(())
+    for c in range(1, bound + 1):
+        pairs[c].append((c, ()))  # the empty core has the value c
+    lam = 1
+    while fibonacci(lam + 1) <= bound:
+        for c in range(1, bound // fibonacci(lam + 1) + 1):
+            walk(c, lam, ())
+        lam += 1
+    return pairs
 
 
-def _is_value2_family_core(c: int, core: tuple[int, ...]) -> bool:
-    # instances of (1; p,1) at sigma even, equivalently (1; 1,p) at sigma odd
-    return c == 1 and len(core) == 2 and core[1] == 1
+def _catalog(n: int, pairs: list[tuple[int, tuple[int, ...]]],
+             lambda_parity: LambdaParity = "both") -> TypeCatalog:
+    """The catalog of n from the sigma-even pairs of |n|, at one core-length parity or both.
+
+    Each (c, core) of |n| is the type (c, core, even) and, since reversing
+    the core swaps the sigma-odd and sigma-even values, (c, reversed core,
+    odd); negating the value negates c and reverses every core.  The family
+    (1; p,1) joins at |n| = 2 the same way.
+    """
+    sign = 1 if n > 0 else -1
+    sides = ((sign, "even"), (-sign, "odd"))  # (step that orients the core, sigma)
+    keep = (0, 1) if lambda_parity == "both" else (0 if lambda_parity == "even" else 1,)
+    finite = frozenset(ExtendedAsymmetryType(sign * c, core[::step], sigma)
+                       for c, core in pairs if len(core) % 2 in keep for step, sigma in sides)
+    families = frozenset(ParametricFamily(sign, (None, 1)[::step], sigma) for step, sigma in sides
+                         if abs(n) == 2 and 0 in keep)
+    return TypeCatalog(finite, families)
 
 
 def enumerate_types(n: int, lambda_parity: LambdaParity = "both") -> TypeCatalog:
     """All extended types with anticontinuant value n, optionally filtered by core-length parity.
 
-    Search bounds: |c| * F_{lambda+1} <= |n| caps the core length and the
-    marginal, and outside the value-2 parametric families every core entry
-    divides into a positively weighted term of the value, so entries are
-    capped by |n|.  Value 0 signals the symmetric class, which is infinite,
-    and is rejected, and so is |n| > TARGET_MAX, where the search time,
-    about quadratic in |n|, passes half a second.
+    The catalog of |n| is read off one search over every value up to |n|
+    (see `_sigma_even_pairs` for its bounds) and negated when n < 0.  Value 0
+    signals the symmetric class, which is infinite, and is rejected, and so
+    is |n| > TARGET_MAX, where the search time, about quadratic in |n|,
+    passes half a second.
     """
     if not is_int(n):
         raise DomainError(f"target must be an integer, got {n!r}")
@@ -225,31 +259,4 @@ def enumerate_types(n: int, lambda_parity: LambdaParity = "both") -> TypeCatalog
         raise DomainError(f"target must be at most {TARGET_MAX} in absolute value, got {n}")
     if lambda_parity not in ("even", "odd", "both"):
         raise DomainError(f"lambda_parity must be even, odd, or both, got {lambda_parity!r}")
-
-    a = abs(n)
-    finite: set[ExtendedAsymmetryType] = set()
-    families: set[ParametricFamily] = set()
-    lam = 0
-    while fibonacci(lam + 1) <= a:
-        for c in range(1, a // fibonacci(lam + 1) + 1):
-            for core in _matching_cores(c, lam, a):
-                if a == 2 and _is_value2_family_core(c, core):
-                    continue
-                finite.add(ExtendedAsymmetryType(c, core, "even"))
-                # reversing the core swaps the sigma-odd and sigma-even values
-                finite.add(ExtendedAsymmetryType(c, core[::-1], "odd"))
-        lam += 1
-    if a == 2:
-        families.add(ParametricFamily(1, (None, 1), "even"))
-        families.add(ParametricFamily(1, (1, None), "odd"))
-
-    if n < 0:
-        finite = {ExtendedAsymmetryType(-t.c, t.core[::-1], t.sigma) for t in finite}
-        families = {ParametricFamily(-f.c, f.pattern[::-1], f.sigma) for f in families}
-
-    if lambda_parity != "both":
-        want = 0 if lambda_parity == "even" else 1
-        finite = {t for t in finite if len(t.core) % 2 == want}
-        families = {f for f in families if len(f.pattern) % 2 == want}
-
-    return TypeCatalog(frozenset(finite), frozenset(families))
+    return _catalog(n, _sigma_even_pairs(abs(n))[abs(n)], lambda_parity)

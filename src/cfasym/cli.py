@@ -220,8 +220,7 @@ def _cmd_folded(args) -> _Result:
 def _cmd_verify(args) -> _Result:
     if args.suite == "enumeration":
         report = verifier.verify_enumeration(args.max_len, args.max_entry, args.value_bound)
-        head, payload = (f"hits={report.hits} types={report.types}",
-                         {**as_plain(report), "ok": report.ok})
+        head = f"hits={report.hits} types={report.types}"
     else:
         if args.suite == "identities":
             report = verifier.verify_identities(args.alpha_max, trials=args.trials,
@@ -229,7 +228,7 @@ def _cmd_verify(args) -> _Result:
         else:
             spec = congruence.CongruenceSpec(args.n, args.s)
             report = verifier.verify_main_theorem(spec, args.alpha_max, mode=args.mode)
-        head, payload = f"checked={report.checked} matches={report.matches}", report.to_dict()
+        head = f"checked={report.checked} matches={report.matches}"
     violations = report.violations
     lines = [f"{head} violations={len(violations)}"]
     for v in violations[:_SHOWN_VIOLATIONS]:
@@ -241,7 +240,7 @@ def _cmd_verify(args) -> _Result:
         lines.append(f"  coarse {c.direction}: alpha={c.alpha} beta={c.beta} "
                      f"type=({c.marginal};{_seq_str(c.core)})")
     rows = [(v.kind, v.alpha, v.beta, _seq_str(v.expansion or ())) for v in violations]
-    return _Result("\n".join(lines), payload,
+    return _Result("\n".join(lines), report.to_dict(),
                    (("kind", "alpha", "beta", "expansion"), rows),
                    VIOLATION_EXIT if violations else 0)
 

@@ -30,6 +30,13 @@ def _check_entries(q: Quotients) -> None:
             raise DomainError(f"quotient entries must be integers >= 1, got {e!r}")
 
 
+def _check_indices(*indices) -> None:
+    for k in indices:
+        # is_int inline, as in _check_entries
+        if not isinstance(k, int) or isinstance(k, bool):
+            raise DomainError(f"indices must be integers, got {k!r}")
+
+
 def _continuant(q: Quotients, i: int, j: int) -> int:
     """Unchecked kernel of `continuant_range`; callers validate q and the range."""
     if j == i - 2:
@@ -47,6 +54,7 @@ def continuant_range(q: Quotients, i: int, j: int) -> int:
     j = i - 2 gives 0.  Requires 0 <= i <= j + 2 <= len(q) + 1.
     """
     _check_entries(q)
+    _check_indices(i, j)
     s = len(q)
     if not (0 <= i and i <= j + 2 and j <= s - 1):
         raise DomainError(f"continuant range ({i}, {j}) invalid for length {s}")
@@ -64,6 +72,7 @@ def anticontinuant_range(q: Quotients, i: int, j: int) -> int:
     Requires 0 <= i <= j + 1 <= len(q).  Zero on ranges of length <= 1 and
     exactly on symmetric ranges.
     """
+    _check_indices(i, j)
     s = len(q)
     if not (0 <= i and i <= j + 1 and j <= s - 1):
         raise DomainError(f"anticontinuant range ({i}, {j}) invalid for length {s}")
@@ -83,6 +92,7 @@ def euler_residual(q: Quotients, k: int, l: int, m: int, n: int) -> int:
     for 0 <= k <= l <= m + 2 and m <= n <= len(q) - 1.  Returned rather than
     asserted so the test suite owns the zero check.
     """
+    _check_indices(k, l, m, n)
     s = len(q)
     if not (0 <= k <= l <= m + 2 and m <= n <= s - 1):
         raise DomainError(f"euler indices ({k}, {l}, {m}, {n}) invalid for length {s}")

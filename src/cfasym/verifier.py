@@ -19,8 +19,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
-from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
-                        extended_type, type_value)
+from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, _catalog, _sigma_even_pairs,
+                        decompose, enumerate_types, extended_type, type_value)
 from .cf import alternate_expansion, evaluate, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate,
                          exceptional_candidates, solve_quadratic, true_exceptions)
@@ -101,6 +101,8 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
         raise DomainError(f"max_alpha must be an integer >= 2, got {max_alpha!r}")
     if not is_int(trials) or trials < 0:
         raise DomainError(f"trials must be a non-negative integer, got {trials!r}")
+    if not is_int(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
     violations: list[ViolationRecord] = []
     checked = 0
     for alpha in range(2, max_alpha + 1):
@@ -262,6 +264,15 @@ class EnumerationReport(NamedTuple):
     def ok(self) -> bool:
         return not self.violations
 
+    def to_dict(self) -> dict:
+        """The fields plus `ok`, as `VerificationReport.to_dict` gives them."""
+        return {**as_plain(self), "ok": self.ok}
+
+    def to_json(self) -> str:
+        import json  # kept out of CLI start-up, like random
+
+        return json.dumps(self.to_dict(), sort_keys=True)
+
 
 def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> EnumerationReport:
     """Check the type catalog against every bounded sequence with a small value.
@@ -275,10 +286,11 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
     first hit in scan order directly (see `cfasym.exhaustive`), so no hit
     is listed: the stock bounds have 609,982 hits but 88 blocks and 352
     instances.  Each instance is decomposed once, at its first hit, and the
-    instances are checked in the order of those hits.  A catalog is built
-    only for a value that some instance carries.  Bad bounds raise
-    DomainError before any catalog, and so does a bound that could reach a
-    value beyond TARGET_MAX, whose catalog `enumerate_types` refuses.
+    instances are checked in the order of those hits.  One search builds
+    the catalogs of every value up to the largest one met, as
+    `enumerate_types` would one at a time.  Bad bounds raise DomainError
+    before that search, and so does a bound that could reach a value beyond
+    TARGET_MAX, whose catalog `enumerate_types` refuses.
     """
     # the scanner stays out of CLI start-up
     from .exhaustive import _checked_bound, _two_sided_blocks, scan_position
@@ -296,15 +308,15 @@ def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> Enumer
                 q = min(((1,) * depth + block + (1,) * depth for depth in depths[parity::2]),
                         key=scan_position)
                 first.append((scan_position(q), q, -value if parity else value))
-    catalogs = {}
+    top = max((abs(value) for *_, value in first), default=0)  # often far below bound
+    catalogs = {sign * v: _catalog(sign * v, pairs)
+                for v, pairs in _sigma_even_pairs(top).items() for sign in (1, -1)}
     violations: list[ViolationRecord] = []
     for _, q, value in sorted(first):
         dec = decompose(q)
         if type_value(extended_type(dec)) != value:
             violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
             continue
-        if value not in catalogs:
-            catalogs[value] = enumerate_types(value, "both")
         if not catalogs[value].contains(dec.c, dec.core, dec.sigma):
             violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
     return EnumerationReport(hits, len(first), tuple(violations))
@@ -371,6 +383,7 @@ def build_table(n_max: int) -> TableDocument:
 
     Type cells are the sigma-even slice of the catalog at the row's
     core-length parity; the value-2 even row shows the parametric family.
+    One search builds the catalogs of every value 1..n_max.
     Exceptions come from the `true_exceptions` sweep over both signs; the
     (2, even) congruence is the excluded perfect-square case, which has no
     exceptions, so its cell is empty by construction.
@@ -380,9 +393,9 @@ def build_table(n_max: int) -> TableDocument:
     if n_max > TARGET_MAX:
         raise DomainError(f"n_max must be at most {TARGET_MAX}, got {n_max}")
     rows = []
-    for value in range(1, n_max + 1):
+    for value, pairs in _sigma_even_pairs(n_max).items():
         # one catalog per value, split by core-length parity as enumerate_types does
-        catalog = enumerate_types(value, "both")
+        catalog = _catalog(value, pairs)
         for parity_bit, parity in ((0, "even"), (1, "odd")):
             # sort on (core length, marginal, entries), a family's slot counting as 0
             keyed = [((len(core), c, core), c, ",".join(map(str, core)))

@@ -9,37 +9,57 @@ import pytest
 sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
-from cfasym import verifier
-from cfasym.asymmetry import decompose, enumerate_types, extended_type
+from cfasym import asymmetry, verifier
+from cfasym.asymmetry import _catalog, decompose, extended_type
+from per_value_catalog import enumerate_types_per_value
 
 PLANTED_MISS = (2, 1, 2, 1)  # value 4: the type (c=1, core=(1, 2), sigma even)
 
 
 @pytest.fixture
-def planted_miss(monkeypatch):
-    """Drop PLANTED_MISS's type from the catalogs the verifier builds; return that type."""
-    dropped = extended_type(decompose(PLANTED_MISS))
+def plant_catalogs(monkeypatch):
+    """Return plant(edit), which passes every catalog the library builds through edit.
 
-    def catalog_without(n, lambda_parity="both"):
-        catalog = enumerate_types(n, lambda_parity)
-        return catalog._replace(finite_types=catalog.finite_types - {dropped})
+    `enumerate_types`, `verify_enumeration` and `build_table` each build a
+    value's catalog with `asymmetry._catalog`, so the fault reaches them
+    all, at the signed value it is planted for.  A second plant replaces
+    the first.
+    """
+    def plant(edit):
+        def planted(n, pairs, lambda_parity="both"):
+            return edit(_catalog(n, pairs, lambda_parity))
 
-    monkeypatch.setattr(verifier, "enumerate_types", catalog_without)
-    return dropped
+        monkeypatch.setattr(asymmetry, "_catalog", planted)
+        monkeypatch.setattr(verifier, "_catalog", planted)
+    return plant
 
 
 @pytest.fixture
-def no_sigma_odd(monkeypatch):
-    """Drop every sigma-odd finite type from the verifier's catalogs; return the catalog maker.
+def planted_miss(plant_catalogs):
+    """Drop PLANTED_MISS's type from the catalogs the library builds; return that type."""
+    dropped = extended_type(decompose(PLANTED_MISS))
+    plant_catalogs(lambda catalog: catalog._replace(
+        finite_types=catalog.finite_types - {dropped}))
+    return dropped
+
+
+def _without_sigma_odd(catalog):
+    return catalog._replace(finite_types=frozenset(t for t in catalog.finite_types
+                                                   if t.sigma == "even"))
+
+
+@pytest.fixture
+def no_sigma_odd(plant_catalogs):
+    """Drop every sigma-odd finite type from the library's catalogs; return the catalog maker.
 
     Many instances miss then, not just one: 64 at the bounds (7, 4, 6).
+    The maker builds the same catalogs from the per-value reference search.
     """
-    def catalog_without_sigma_odd(n, lambda_parity="both"):
-        catalog = enumerate_types(n, lambda_parity)
-        kept = frozenset(t for t in catalog.finite_types if t.sigma == "even")
-        return catalog._replace(finite_types=kept)
+    plant_catalogs(_without_sigma_odd)
 
-    monkeypatch.setattr(verifier, "enumerate_types", catalog_without_sigma_odd)
+    def catalog_without_sigma_odd(n, lambda_parity="both"):
+        return _without_sigma_odd(enumerate_types_per_value(n, lambda_parity))
+
     return catalog_without_sigma_odd
 
 

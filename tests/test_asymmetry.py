@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product
 
@@ -6,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cfasym.asymmetry import (TARGET_MAX, AsymmetryDecomposition, ExtendedAsymmetryType,
-                              compose, decompose, enumerate_types, extended_type,
-                              type_value)
+                              _catalog, _sigma_even_pairs, compose, decompose,
+                              enumerate_types, extended_type, type_value)
 from cfasym.continuants import anticontinuant, continuant, fibonacci
 from cfasym.errors import DomainError
+import per_value_catalog
+from per_value_catalog import enumerate_types_per_value
 
 entries = st.integers(min_value=1, max_value=9)
 sequences = st.lists(entries, min_size=1, max_size=12).map(tuple)
@@ -56,6 +59,17 @@ def test_type_value_examples():
         assert type_value(ExtendedAsymmetryType(n, (), "odd")) == n
     with pytest.raises(DomainError):
         type_value(ExtendedAsymmetryType(0, (), "even"))
+
+
+@pytest.mark.parametrize("t", [
+    ExtendedAsymmetryType(1, (2,), "sideways"),
+    ExtendedAsymmetryType(1, (2,), None),
+    ExtendedAsymmetryType(1.0, (2,), "even"),
+], ids=["sigma_word", "sigma_none", "float_marginal"])
+def test_type_value_refuses_a_bad_sigma_or_marginal(t):
+    # a sigma other than "even" used to read as odd, and 1.0 gave the value 2.0
+    with pytest.raises(DomainError):
+        type_value(t)
 
 
 def decompositions():
@@ -171,6 +185,25 @@ def test_enumerate_n4_even_coarse():
     # the sigma-odd achiever (1; 2,1) is in the refined catalog but not the coarse slice
     assert cat.contains(1, (2, 1), "odd")
     assert not cat.contains(1, (2, 1), "even")
+
+
+def test_one_search_slices_match_the_per_value_search(monkeypatch):
+    # the catalogs of every value up to 40 from one search, each read off at
+    # both signs and every core-length parity, against the per-value search
+    # the library used before, value-2 families included; the reference's
+    # walks are kept, as it repeats each one for every sign and parity
+    monkeypatch.setattr(per_value_catalog, "_matching_cores",
+                        functools.cache(lambda *key, walk=per_value_catalog._matching_cores:
+                                        tuple(walk(*key))))
+    pairs = _sigma_even_pairs(40)
+    assert list(pairs) == list(range(1, 41))
+    for n in range(1, 41):
+        for signed in (n, -n):
+            for parity in ("even", "odd", "both"):
+                assert _catalog(signed, pairs[n], parity) == enumerate_types_per_value(
+                    signed, parity), (signed, parity)
+    assert enumerate_types(-40, "odd") == enumerate_types_per_value(-40, "odd")
+    assert _catalog(2, pairs[2]).families == enumerate_types(2).families != frozenset()
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -258,6 +258,8 @@ def test_every_operation_reachable(capsys):
                                "--trials", "10"],
         "verify_main_theorem": ["verify", "main", "--n", "1", "--s", "0",
                                  "--alpha-max", "30"],
+        "verify_enumeration": ["verify", "enumeration", "--max-len", "4", "--max-entry", "3",
+                               "--value-bound", "2"],
         "build_table": ["table", "--n-max", "1"],
     }
     for op, argv in invocations.items():

@@ -154,3 +154,19 @@ def test_run_verification_script_reports_violations(capsys, monkeypatch, tmp_pat
     captured = capsys.readouterr()
     assert "all sweeps clean" not in captured.out
     assert captured.err == "VIOLATIONS FOUND\n"
+
+
+@pytest.mark.parametrize("flag, value", [("--n-max", "129"), ("--n-max", "0"),
+                                         ("--alpha-max", "0")])
+def test_run_verification_script_refuses_a_bound_with_the_domain_exit(tmp_path, flag, value):
+    # one line and the domain exit, not a traceback; a bad --n-max is
+    # refused before the first sweep, where it used to wait for all of them
+    argv = ["--identities-alpha-max", "20", "--trials", "5", "--out", str(tmp_path / "out"),
+            flag, value]
+    done = subprocess.run([sys.executable, str(RUN_SCRIPT), *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == DOMAIN_EXIT
+    assert re.fullmatch(rf"run_verification: domain error: .*got {value}\n", done.stderr)
+    if flag == "--n-max":
+        assert done.stdout == ""
+        assert not (tmp_path / "out").exists()

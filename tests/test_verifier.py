@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from cfasym import verifier
+from cfasym import asymmetry, verifier
 from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
                               extended_type, type_value)
 from cfasym.cf import evaluate, expand, parity_by_inverse
@@ -15,7 +15,9 @@ from cfasym.errors import DomainError
 from cfasym.exhaustive import _checked_bound, _two_sided_blocks, scan_position
 from cfasym.verifier import (EnumerationReport, ViolationRecord, _typed_pairs, build_table,
                              verify_enumeration, verify_identities, verify_main_theorem)
-from cfasym.continuants import anticontinuant, fibonacci
+from cfasym.continuants import (anticontinuant, anticontinuant_range, continuant_range,
+                                euler_residual, fibonacci)
+from per_value_catalog import enumerate_types_per_value
 from scanning import scan_small_anticontinuants, scan_small_anticontinuants_reference
 
 SPECS = [CongruenceSpec(sign * n, s) for n in range(1, 7) for sign in (1, -1)
@@ -162,14 +164,10 @@ def test_main_theorem_reports_a_planted_type_miss(planted_miss):
     assert {extended_type(decompose(v.expansion)) for v in report.violations} == {planted_miss}
 
 
-def test_main_theorem_reports_a_planted_extra_type(monkeypatch):
+def test_main_theorem_reports_a_planted_extra_type(plant_catalogs):
     extra = ExtendedAsymmetryType(1, (), "even")  # value 1, not 4
-
-    def catalog_with_extra(n, lambda_parity="both"):
-        catalog = enumerate_types(n, lambda_parity)
-        return catalog._replace(finite_types=catalog.finite_types | {extra})
-
-    monkeypatch.setattr(verifier, "enumerate_types", catalog_with_extra)
+    plant_catalogs(lambda catalog: catalog._replace(
+        finite_types=catalog.finite_types | {extra}))
     report = verify_main_theorem(CongruenceSpec(4, 0), 100)
     assert report.violations[0] == verifier.ViolationRecord(13, 3, (4, 3), "type_without_root")
     assert {v.kind for v in report.violations} == {"type_without_root"}
@@ -258,6 +256,12 @@ def test_report_json_keeps_only_its_kinds_fields():
     assert json.loads(identities.to_json()) == {
         "kind": "identities", "alpha_min": 2, "alpha_max": 9, "checked": 3,
         "matches": 3, "ok": True, "violations": [], "trials": 4, "seed": 5}
+    violation = ViolationRecord(None, None, (2, 1), "formula_mismatch")
+    enumeration = EnumerationReport(9, 4, (violation,))
+    assert json.loads(enumeration.to_json()) == {
+        "hits": 9, "types": 4, "ok": False,
+        "violations": [{"alpha": None, "beta": None, "expansion": [2, 1],
+                        "kind": "formula_mismatch"}]}
 
 
 def test_build_table_small():
@@ -331,7 +335,7 @@ def test_enumeration_report_bytes_are_pinned(monkeypatch, no_sigma_odd):
     # the violations are the first hits of each instance in scan order, so
     # this pins that order as well as the counts
     reports = [verify_enumeration(7, 4, 6), verify_enumeration(8, 5, 6)]
-    monkeypatch.setattr(verifier, "enumerate_types", enumerate_types)
+    monkeypatch.undo()  # the real catalogs again
     reports += [verify_enumeration(*bounds) for bounds in
                 [(6, 5, 2), (6, 5, 20), (5, 8, 8), (7, 4, 30), (9, 5, 8)]]
     monkeypatch.setattr(verifier, "type_value", lambda t: type_value(t) + 1)
@@ -341,31 +345,46 @@ def test_enumeration_report_bytes_are_pinned(monkeypatch, no_sigma_odd):
     assert digest == "c9995f4b209878630c0355bd4f8d1733d11875298a8a8cec04d2b239112cdfae"
 
 
-def _counting_catalogs(monkeypatch):
+def test_enumeration_report_at_a_large_value_bound_is_pinned():
+    # every value up to 100 is reachable, so the check reads 200 catalogs,
+    # which one search builds
+    report = verify_enumeration(7, 4, 100)
+    assert report.ok
+    digest = hashlib.sha256(repr(report).encode()).hexdigest()
+    assert digest == "630ed8f83bb0cd669fde042c4efaa6a2143c3a52a7eae261073c508fb5c5b6cc"
+
+
+def _counting_searches(monkeypatch):
+    # the bound of each catalog search, wherever the library runs one
     calls = []
 
-    def counting(n, lambda_parity="both"):
-        calls.append(n)
-        return enumerate_types(n, lambda_parity)
+    def counting(bound):
+        calls.append(bound)
+        return search(bound)
 
-    monkeypatch.setattr(verifier, "enumerate_types", counting)
+    search = asymmetry._sigma_even_pairs
+    monkeypatch.setattr(asymmetry, "_sigma_even_pairs", counting)
+    monkeypatch.setattr(verifier, "_sigma_even_pairs", counting)
     return calls
 
 
 def test_enumeration_validates_before_any_catalog(monkeypatch):
-    calls = _counting_catalogs(monkeypatch)
+    calls = _counting_searches(monkeypatch)
     for bounds in [(0, 8, 8), (6, 4, 2.5), (6.0, 4, 2), (6, 4.0, 2)]:
         with pytest.raises(DomainError):
             verify_enumeration(*bounds)
     assert calls == []
 
 
-def test_enumeration_builds_only_the_catalogs_it_reads(monkeypatch):
-    calls = _counting_catalogs(monkeypatch)
-    report = verify_enumeration(3, 2, 80)
-    assert report.ok
-    values = {v for _, v in scan_small_anticontinuants_reference(3, 2, 80)}
-    assert sorted(calls) == sorted(values)
+def test_enumeration_runs_one_catalog_search(monkeypatch):
+    # to the largest value met, not to the value bound: at (5, 2, 128) that
+    # is 12, and a search to 128 would take about a second
+    calls = _counting_searches(monkeypatch)
+    for bounds in [(3, 2, 80), (5, 2, 128)]:
+        assert verify_enumeration(*bounds).ok
+        values = {abs(v) for _, v in scan_small_anticontinuants_reference(*bounds)}
+        assert calls.pop() == max(values)
+    assert calls == []
 
 
 @pytest.mark.parametrize("max_len, max_entry, value_bound", [(7, 4, 6), (6, 5, 10)])
@@ -469,27 +488,31 @@ def _plain_python_check(bounds, catalog, value_of):
     (7, 6, 4),
     (4, 6, 1),
 ], ids=lambda bounds: "-".join(map(str, bounds)))
-def test_enumeration_matches_a_plain_python_check(monkeypatch, bounds):
+def test_enumeration_matches_a_plain_python_check(monkeypatch, plant_catalogs, bounds):
+    # the plain check reads each value's catalog from the per-value reference search
     catalogs = {}
 
-    def catalog(n, lambda_parity="both"):
+    def catalog(n):
         if n not in catalogs:
-            catalogs[n] = enumerate_types(n, lambda_parity)
+            catalogs[n] = enumerate_types_per_value(n)
         return catalogs[n]
 
-    def no_sigma_odd(n, lambda_parity="both"):
-        full = catalog(n, lambda_parity)
-        return full._replace(finite_types=frozenset(t for t in full.finite_types
-                                                    if t.sigma == "even"))
+    def kept(catalog):
+        return catalog
+
+    def no_sigma_odd(catalog):
+        return catalog._replace(finite_types=frozenset(t for t in catalog.finite_types
+                                                       if t.sigma == "even"))
 
     def off_by_one(t):
         return type_value(t) + 1
 
-    for make, value_of in [(catalog, type_value), (no_sigma_odd, type_value),
-                           (catalog, off_by_one)]:
-        monkeypatch.setattr(verifier, "enumerate_types", make)
+    for edit, value_of in [(kept, type_value), (no_sigma_odd, type_value),
+                           (kept, off_by_one)]:
+        plant_catalogs(edit)
         monkeypatch.setattr(verifier, "type_value", value_of)
-        assert verify_enumeration(*bounds) == _plain_python_check(bounds, make, value_of)
+        expected = _plain_python_check(bounds, lambda n: edit(catalog(n)), value_of)
+        assert verify_enumeration(*bounds) == expected
 
 
 @pytest.mark.parametrize("call", [
@@ -500,10 +523,13 @@ def test_enumeration_matches_a_plain_python_check(monkeypatch, bounds):
     lambda: verify_enumeration(True, 8, 8),
     lambda: verify_enumeration(6, True, 2),
     lambda: verify_enumeration(6, 4, True),
-], ids=["alpha_max", "n_max", "max_alpha", "trials", "max_len", "max_entry", "value_bound"])
+    lambda: verify_identities(5, trials=1, seed=True),
+    lambda: verify_identities(5, trials=1, seed=1.5),
+], ids=["alpha_max", "n_max", "max_alpha", "trials", "max_len", "max_entry", "value_bound",
+        "seed", "float_seed"])
 def test_bool_bounds_are_refused(monkeypatch, call):
     # bool is an int subclass, and True used to pass as the bound 1
-    calls = _counting_catalogs(monkeypatch)
+    calls = _counting_searches(monkeypatch)
     with pytest.raises(DomainError):
         call()
     assert calls == []
@@ -521,10 +547,20 @@ def test_bool_bounds_are_refused(monkeypatch, call):
     lambda: evaluate((True, 2)),
     lambda: fibonacci(True),
     lambda: parity_by_inverse(3, True),
+    lambda: type_value(ExtendedAsymmetryType(True, (2,), "even")),
+    lambda: continuant_range((1, 2, 3), True, 2),
+    lambda: continuant_range((1, 2, 3), 0.5, 2),
+    lambda: anticontinuant_range((1, 2, 3), 0, True),
+    lambda: anticontinuant_range((1, 2, 3), 0.0, 2),
+    lambda: euler_residual((2, 1, 2, 1), 0, True, 1, 3),
+    lambda: euler_residual((2, 1, 2, 1), 0, 1, 1, 3.0),
 ], ids=["spec_n", "spec_s", "report_n", "target", "folded_b", "folded_epsilon", "alpha",
-        "pair", "entry", "fibonacci", "parity"])
+        "pair", "entry", "fibonacci", "parity", "type_marginal", "continuant_index",
+        "float_continuant_index", "anticontinuant_index", "float_anticontinuant_index",
+        "euler_index", "float_euler_index"])
 def test_bool_integers_are_refused(call):
-    # each used to pass True as 1, e.g. a report with "n": true
+    # each used to pass True as 1, e.g. a report with "n": true; a float
+    # index used to raise TypeError, not DomainError
     with pytest.raises(DomainError):
         call()
 
@@ -544,7 +580,7 @@ def test_enumeration_decomposes_once_per_type(monkeypatch):
 
 
 def test_enumeration_refuses_values_past_the_catalog_bound(monkeypatch):
-    calls = _counting_catalogs(monkeypatch)
+    calls = _counting_searches(monkeypatch)
     with pytest.raises(DomainError):
         verify_enumeration(6, 4, TARGET_MAX + 1)
     assert calls == []
@@ -552,14 +588,14 @@ def test_enumeration_refuses_values_past_the_catalog_bound(monkeypatch):
     assert verify_enumeration(3, 2, 10 ** 6) == verify_enumeration(3, 2, 27)
 
 
-def test_build_table_builds_one_catalog_per_value(monkeypatch):
-    calls = _counting_catalogs(monkeypatch)
+def test_build_table_runs_one_catalog_search(monkeypatch):
+    calls = _counting_searches(monkeypatch)
     build_table(6)
-    assert calls == [1, 2, 3, 4, 5, 6]
+    assert calls == [6]
 
 
 def test_build_table_refuses_n_max_past_the_catalog_bound(monkeypatch):
-    calls = _counting_catalogs(monkeypatch)
+    calls = _counting_searches(monkeypatch)
     with pytest.raises(DomainError):
         build_table(TARGET_MAX + 1)
     assert calls == []
