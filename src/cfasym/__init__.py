@@ -7,8 +7,8 @@ from .cf import (ParityPrediction, alternate_expansion, evaluate, expand,
                  expand_with_parity, parity_by_inverse, representations)
 from .congruence import (CongruenceSpec, ExceptionalCertificate, FoldedForm,
                          FoldedParams, candidate_pairs, exceptional_candidates,
-                         folded_expand_classify, folded_normalize, solve_quadratic,
-                         true_exceptions)
+                         folded_expand_classify, folded_normalize, main_theorem_specs,
+                         solve_quadratic, true_exceptions)
 from .continuants import (anticontinuant, anticontinuant_range, continuant,
                           continuant_range, euler_residual, fibonacci)
 from .errors import DomainError, FoldedFormError
@@ -27,7 +27,7 @@ __all__ = [
     "continuant_range", "decompose", "enumerate_types", "euler_residual",
     "evaluate", "exceptional_candidates", "expand", "expand_with_parity",
     "extended_type", "fibonacci", "folded_expand_classify", "folded_normalize",
-    "parity_by_inverse", "representations", "solve_quadratic",
+    "main_theorem_specs", "parity_by_inverse", "representations", "solve_quadratic",
     "true_exceptions", "type_value",
     "verify_enumeration", "verify_identities", "verify_main_theorem",
 ]

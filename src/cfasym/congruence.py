@@ -13,7 +13,7 @@ from itertools import accumulate, chain, cycle
 from math import gcd, isqrt
 from typing import Literal, NamedTuple, Optional
 
-from .asymmetry import AsymmetryDecomposition, decompose
+from .asymmetry import TARGET_MAX, AsymmetryDecomposition, decompose
 from .cf import representations
 from .continuants import anticontinuant
 from .errors import DomainError, FoldedFormError, is_int
@@ -288,14 +288,34 @@ def exceptional_candidates(spec: CongruenceSpec) -> dict[int, tuple[ExceptionalC
     return {m: tuple(certs[m]) for m in sorted(certs)}
 
 
+def main_theorem_specs(n_max: int) -> list[CongruenceSpec]:
+    """Every (n, s) the main theorem covers with 1 <= |n| <= n_max, in sweep order.
+
+    |n| ascending, +n before -n, s = 0 before s = 1, with (+-2, 0) left out:
+    the perfect-square case that `exceptional_candidates` refuses.  n_max
+    must be a positive integer at most TARGET_MAX, the largest value whose
+    catalog `enumerate_types` builds.
+    """
+    if not is_int(n_max) or n_max < 1:
+        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
+    if n_max > TARGET_MAX:
+        raise DomainError(f"n_max must be at most {TARGET_MAX}, got {n_max}")
+    return [CongruenceSpec(sign * a, s) for a in range(1, n_max + 1) for sign in (1, -1)
+            for s in (0, 1) if (a, s) != (2, 0)]
+
+
 def candidate_pairs(spec: CongruenceSpec, include_negated: bool = True) -> list[tuple[int, int]]:
-    """Solved (alpha, beta) over the exceptional moduli, for n (and -n if asked)."""
+    """Solved (alpha, beta) over the exceptional moduli, for n (and -n if asked).
+
+    The roots of -n are alpha - r for the roots r of n, since x -> -x maps
+    one congruence onto the other.
+    """
     pairs = []
     for alpha in exceptional_candidates(spec):
-        roots = set(solve_quadratic(spec, alpha))
+        roots = solve_quadratic(spec, alpha)
         if include_negated:
-            roots |= set(solve_quadratic(spec.negated(), alpha))
-        pairs.extend((alpha, beta) for beta in sorted(roots))
+            roots = sorted({*roots, *(alpha - r for r in roots)})
+        pairs.extend((alpha, beta) for beta in roots)
     return pairs
 
 

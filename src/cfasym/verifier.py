@@ -22,8 +22,8 @@ from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, _catalog, _sigma_even_pairs,
                         decompose, enumerate_types, extended_type, type_value)
 from .cf import alternate_expansion, evaluate, expand, parity_by_inverse
-from .congruence import (CongruenceSpec, ExceptionalCertificate,
-                         exceptional_candidates, solve_quadratic, true_exceptions)
+from .congruence import (CongruenceSpec, ExceptionalCertificate, exceptional_candidates,
+                         main_theorem_specs, solve_quadratic, true_exceptions)
 from .continuants import anticontinuant, euler_residual
 from .errors import DomainError, is_int
 
@@ -384,14 +384,11 @@ def build_table(n_max: int) -> TableDocument:
     Type cells are the sigma-even slice of the catalog at the row's
     core-length parity; the value-2 even row shows the parametric family.
     One search builds the catalogs of every value 1..n_max.
-    Exceptions come from the `true_exceptions` sweep over both signs; the
-    (2, even) congruence is the excluded perfect-square case, which has no
-    exceptions, so its cell is empty by construction.
+    Exceptions come from the `true_exceptions` sweep over both signs for the
+    rows `main_theorem_specs` lists; the cell of the one row it leaves out,
+    the perfect-square (2, even), is empty.
     """
-    if not is_int(n_max) or n_max < 1:
-        raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
-    if n_max > TARGET_MAX:
-        raise DomainError(f"n_max must be at most {TARGET_MAX}, got {n_max}")
+    covered = set(main_theorem_specs(n_max))  # refuses a bad n_max first
     rows = []
     for value, pairs in _sigma_even_pairs(n_max).items():
         # one catalog per value, split by core-length parity as enumerate_types does
@@ -403,9 +400,7 @@ def build_table(n_max: int) -> TableDocument:
             keyed += [(f.sort_key(), f.c, f.display_core())
                       for f in catalog.coarse_families() if len(f.pattern) % 2 == parity_bit]
             entries = [TableEntry(c, core) for _, c, core in sorted(keyed)]
-            if value == 2 and parity_bit == 0:
-                exceptions: tuple[tuple[int, int], ...] = ()
-            else:
-                exceptions = tuple(true_exceptions(CongruenceSpec(value, parity_bit)))
+            spec = CongruenceSpec(value, parity_bit)
+            exceptions = tuple(true_exceptions(spec)) if spec in covered else ()
             rows.append(TableRow(value, parity, tuple(entries), exceptions))
     return TableDocument(n_max=n_max, rows=tuple(rows))

@@ -16,7 +16,7 @@ from cfasym.asymmetry import decompose, enumerate_types
 from cfasym.cf import expand, expand_with_parity
 from cfasym.congruence import (CongruenceSpec, FoldedParams, candidate_pairs,
                                exceptional_candidates, folded_expand_classify,
-                               true_exceptions)
+                               main_theorem_specs, true_exceptions)
 from cfasym.continuants import anticontinuant, continuant, fibonacci
 from cfasym.verifier import (build_table, verify_enumeration, verify_identities,
                              verify_main_theorem)
@@ -141,12 +141,7 @@ def test_criterion_05_identity_sweep():
 
 
 def test_criterion_06_refined_main_theorem():
-    specs = []
-    for n in range(1, 7):
-        for sign in (1, -1):
-            specs.append(CongruenceSpec(sign * n, 1))
-            if n != 2:
-                specs.append(CongruenceSpec(sign * n, 0))
+    specs = main_theorem_specs(6)
     assert len(specs) == 22
     total = 0
     for spec in specs:

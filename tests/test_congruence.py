@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from cfasym.congruence import (ALPHA_MAX, CongruenceSpec, FoldedParams, candidate_pairs,
                                exceptional_candidates, folded_expand_classify,
-                               folded_normalize, solve_quadratic, true_exceptions)
+                               folded_normalize, main_theorem_specs, solve_quadratic,
+                               true_exceptions)
 from cfasym.errors import DomainError, FoldedFormError
 
 
@@ -127,6 +128,39 @@ def test_candidate_pairs_remark_values():
         (3, 1), (3, 2), (9, 2), (9, 4), (9, 5), (9, 7), (13, 5), (13, 8)]
     assert candidate_pairs(CongruenceSpec(4, 0)) == [
         (2, 1), (3, 1), (3, 2), (6, 1), (6, 5), (11, 3), (11, 4), (11, 7), (11, 8)]
+
+
+def test_main_theorem_specs_pinned():
+    # every (n, s) with 1 <= |n| <= 6 but the perfect-square (+-2, 0)
+    assert main_theorem_specs(6) == [
+        (1, 0), (1, 1), (-1, 0), (-1, 1), (2, 1), (-2, 1),
+        (3, 0), (3, 1), (-3, 0), (-3, 1), (4, 0), (4, 1), (-4, 0), (-4, 1),
+        (5, 0), (5, 1), (-5, 0), (-5, 1), (6, 0), (6, 1), (-6, 0), (-6, 1)]
+    assert all(type(spec) is CongruenceSpec for spec in main_theorem_specs(6))
+    assert len(main_theorem_specs(128)) == 510
+
+
+@pytest.mark.parametrize("n_max, message", [
+    (0, "n_max must be a positive integer, got 0"),
+    (True, "n_max must be a positive integer, got True"),
+    (129, "n_max must be at most 128, got 129"),
+])
+def test_main_theorem_specs_refusals(n_max, message):
+    with pytest.raises(DomainError) as exc:
+        main_theorem_specs(n_max)
+    assert str(exc.value) == message
+
+
+def test_candidate_pairs_match_both_signs_solved_apart():
+    # the roots of -n come by reflection, alpha - r; here each sign is solved
+    for spec in main_theorem_specs(40):
+        moduli = exceptional_candidates(spec)
+        both = [(alpha, beta) for alpha in moduli
+                for beta in sorted({*solve_quadratic(spec, alpha),
+                                    *solve_quadratic(spec.negated(), alpha)})]
+        single = [(alpha, beta) for alpha in moduli for beta in solve_quadratic(spec, alpha)]
+        assert candidate_pairs(spec) == both, spec
+        assert candidate_pairs(spec, include_negated=False) == single, spec
 
 
 def test_true_exceptions_examples():

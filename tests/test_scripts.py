@@ -157,16 +157,18 @@ def test_run_verification_script_reports_violations(capsys, monkeypatch, tmp_pat
 
 
 @pytest.mark.parametrize("flag, value", [("--n-max", "129"), ("--n-max", "0"),
-                                         ("--alpha-max", "0")])
+                                         ("--alpha-max", "0"),
+                                         ("--identities-alpha-max", "1"), ("--trials", "-1")])
 def test_run_verification_script_refuses_a_bound_with_the_domain_exit(tmp_path, flag, value):
-    # one line and the domain exit, not a traceback; a bad --n-max is
-    # refused before the first sweep, where it used to wait for all of them
+    # one line and the domain exit, not a traceback, and no --out: the
+    # reports are written only once every sweep has accepted its bounds.
+    # Only the main sweep's --alpha-max is refused after a sweep has run.
     argv = ["--identities-alpha-max", "20", "--trials", "5", "--out", str(tmp_path / "out"),
             flag, value]
     done = subprocess.run([sys.executable, str(RUN_SCRIPT), *argv], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
     assert done.returncode == DOMAIN_EXIT
     assert re.fullmatch(rf"run_verification: domain error: .*got {value}\n", done.stderr)
-    if flag == "--n-max":
+    assert not (tmp_path / "out").exists()
+    if flag != "--alpha-max":
         assert done.stdout == ""
-        assert not (tmp_path / "out").exists()

@@ -10,7 +10,7 @@ from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enum
                               extended_type, type_value)
 from cfasym.cf import evaluate, expand, parity_by_inverse
 from cfasym.congruence import (CongruenceSpec, ExceptionalCertificate, FoldedParams,
-                               solve_quadratic)
+                               main_theorem_specs, solve_quadratic)
 from cfasym.errors import DomainError
 from cfasym.exhaustive import _checked_bound, _two_sided_blocks, scan_position
 from cfasym.verifier import (EnumerationReport, ViolationRecord, _typed_pairs, build_table,
@@ -20,8 +20,7 @@ from cfasym.continuants import (anticontinuant, anticontinuant_range, continuant
 from per_value_catalog import enumerate_types_per_value
 from scanning import scan_small_anticontinuants, scan_small_anticontinuants_reference
 
-SPECS = [CongruenceSpec(sign * n, s) for n in range(1, 7) for sign in (1, -1)
-         for s in (0, 1) if (n, s) != (2, 0)]
+SPECS = main_theorem_specs(6)
 
 
 def _flat(pairs_by_alpha):
@@ -352,6 +351,25 @@ def test_enumeration_report_at_a_large_value_bound_is_pinned():
     assert report.ok
     digest = hashlib.sha256(repr(report).encode()).hexdigest()
     assert digest == "630ed8f83bb0cd669fde042c4efaa6a2143c3a52a7eae261073c508fb5c5b6cc"
+
+
+def test_enumeration_reaching_every_block_of_value_eight_is_pinned():
+    # entries up to 9 reach the three blocks of value <= 8 that the stock
+    # bounds miss: (8; ) from (9, 1), (8; 1) from (9, 1, 1) and value 2's
+    # (1; 9, 1)
+    report = verify_enumeration(10, 9, 8)
+    assert (report.hits, report.types, report.violations) == (1_106_804, 364, ())
+
+
+def test_enumeration_reports_a_planted_miss_past_the_stock_entries(plant_catalogs):
+    dropped = {ExtendedAsymmetryType(8, (1,), "even"), ExtendedAsymmetryType(8, (1,), "odd")}
+    plant_catalogs(lambda catalog: catalog._replace(
+        finite_types=catalog.finite_types - dropped))
+    assert verify_enumeration(10, 8, 8).ok  # no entry 9, so no block (8; 1)
+    report = verify_enumeration(10, 9, 8)
+    assert [(v.kind, v.expansion) for v in report.violations] == [
+        ("missing_from_catalog", (1, 1, 1, 9, 1)),
+        ("missing_from_catalog", (1, 1, 9, 1, 1, 1, 1))]
 
 
 def _counting_searches(monkeypatch):
