@@ -14,8 +14,7 @@ import sys
 from typing import NamedTuple
 
 from . import asymmetry, cf, congruence, continuants, verifier
-from .errors import DomainError
-from .verifier import as_plain
+from .errors import DomainError, as_plain, render_csv
 
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
@@ -375,7 +374,7 @@ def main(argv=None) -> int:
             print("cfasym: error: csv output is not available for this subcommand",
                   file=sys.stderr)
             return USAGE_EXIT
-        sys.stdout.write(verifier.render_csv(*result.table))
+        sys.stdout.write(render_csv(*result.table))
     else:
         print(result.text)
     return result.exit_code

@@ -25,7 +25,7 @@ from .cf import alternate_expansion, evaluate, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate, exceptional_candidates,
                          main_theorem_specs, solve_quadratic, true_exceptions)
 from .continuants import anticontinuant, euler_residual
-from .errors import DomainError, is_int
+from .errors import DomainError, as_plain, is_int, render_csv
 
 Mode = Literal["refined", "coarse"]
 
@@ -361,21 +361,6 @@ class TableDocument(NamedTuple):
             for entry in row.entries:
                 lines.append(f"    {entry.marginal} ; {entry.core}")
         return "\n".join(lines) + "\n"
-
-
-def render_csv(columns, rows) -> str:
-    """The one CSV writer: a header line, then one line per row; a comma in a cell becomes '.'."""
-    return "".join(",".join(str(cell).replace(",", ".") for cell in row) + "\n"
-                   for row in (columns, *rows))
-
-
-def as_plain(value):
-    """Records as dicts of their fields, recursively; tuples and lists keep their type."""
-    if hasattr(value, "_fields"):
-        return {k: as_plain(v) for k, v in zip(value._fields, value)}
-    if isinstance(value, (tuple, list)):
-        return type(value)(as_plain(v) for v in value)
-    return value
 
 
 def build_table(n_max: int) -> TableDocument:

@@ -306,3 +306,44 @@ def test_cli_import_leaves_out_numpy_and_the_scanner():
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
     assert done.stdout == "[]\n"
+
+
+# The child prints its exit code and the cfasym modules that have run.  A
+# registered module that has not run is a LazyLoader stub, not a plain module;
+# reading any attribute of one would run it, so the check looks only at types.
+_RAN_MODULES = """\
+import sys, types
+from cfasym.cli import main
+code = main(sys.argv[1:])
+ran = [n[7:] for n, m in sys.modules.items() if n.startswith("cfasym.") and type(m) is types.ModuleType]
+print(code, *sorted(ran), file=sys.stderr)
+"""
+_START = {"cli", "errors"}
+_EXPANSION = _START | {"cf", "continuants"}
+_TYPED = _START | {"asymmetry", "continuants"}
+_SOLVED = _TYPED | {"cf", "congruence"}
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ("--help", _START),
+    ("expand 355 113", _EXPANSION),
+    ("--format json expand 25 7 --predict-parity", _EXPANSION),
+    ("continuant 2,1,2,1", _START | {"continuants"}),
+    ("anticont 3,1,1,3", _START | {"continuants"}),
+    ("type 2,1,2,1", _TYPED),
+    ("enumerate --n 3", _TYPED),
+    ("solve --n 3 --s 1 --alpha 654321", _SOLVED),
+    ("--format csv solve --n 3 --s 1 --alpha 654321", _SOLVED),
+    ("--format json folded --b 2 --n 2 --a 1", _SOLVED),
+    ("exceptional --n 3 --s 1 --certificates", _SOLVED),
+    ("verify main --n 4 --s 0 --alpha-max 30", _SOLVED | {"verifier"}),
+    ("table --n-max 2", _SOLVED | {"verifier"}),
+])
+def test_subcommand_runs_only_the_modules_it_reads(argv, ran):
+    # -S as above; the scanner, exhaustive, runs only under verify enumeration
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    done = subprocess.run([sys.executable, "-S", "-c", _RAN_MODULES, *argv.split()],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+                          check=True)
+    code, *modules = done.stderr.splitlines()[-1].split()
+    assert code == "0" and modules == sorted(ran)
