@@ -7,7 +7,8 @@ table.  JSON and CSV artifacts land in --out, which is written only once
 every sweep has run.  Exits 3 if any sweep records a violation.  Exits 2,
 as `cfasym` does on a domain error, with one line on stderr and no --out
 if a sweep refuses its bounds; a bad --n-max is refused before the first
-sweep.
+sweep.  An --out that is, or lies under, an existing file is a usage
+error (exit 2, as argparse gives it), refused before the first sweep.
 """
 
 import argparse
@@ -32,6 +33,10 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=6)
     parser.add_argument("--out", type=Path, default=Path("reports"))
     args = parser.parse_args()
+    # mkdir would refuse it only after every sweep
+    found = next(path for path in (args.out, *args.out.parents) if path.exists())
+    if not found.is_dir():
+        parser.error(f"--out {args.out}: {found} is not a directory")
     try:
         return _sweep(args)
     except DomainError as exc:

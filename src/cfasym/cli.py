@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 usage error, 2 domain error, 3 verification
-violations found.  Output format comes from --format or the CFASYM_FORMAT
-environment variable (text, json, csv); results go to stdout, diagnostics
-to stderr.
+violations found, and from the console script 141 (128 + SIGPIPE) when
+stdout's reader has left, as a shell reports for a filter.  Output format
+comes from --format or the CFASYM_FORMAT environment variable (text, json,
+csv); results go to stdout, diagnostics to stderr.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import DomainError, as_plain, render_csv
 USAGE_EXIT = 1
 DOMAIN_EXIT = 2
 VIOLATION_EXIT = 3
+CLOSED_PIPE_EXIT = 141  # 128 + SIGPIPE, a shell's status for a filter whose reader left
 
 _FORMATS = ("text", "json", "csv")
 _SHOWN_VIOLATIONS = 20
@@ -381,7 +383,14 @@ def main(argv=None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output goes nowhere, so the exit flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = CLOSED_PIPE_EXIT
+    sys.exit(code)
 
 
 if __name__ == "__main__":

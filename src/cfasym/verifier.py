@@ -21,10 +21,10 @@ from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
 from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, _catalog, _sigma_even_pairs,
                         decompose, enumerate_types, extended_type, type_value)
-from .cf import alternate_expansion, evaluate, expand, parity_by_inverse
+from .cf import alternate_expansion, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate, exceptional_candidates,
                          main_theorem_specs, solve_quadratic, true_exceptions)
-from .continuants import anticontinuant, euler_residual
+from .continuants import _check_entries, _continuant, anticontinuant, euler_residual
 from .errors import DomainError, as_plain, is_int, render_csv
 
 Mode = Literal["refined", "coarse"]
@@ -192,12 +192,10 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
             continue
         checked += len(roots | typed)
         matches += len(roots & typed)
-        for beta in sorted(roots - typed):
-            violations.append(ViolationRecord(alpha, beta, expand(alpha, beta),
-                                              "root_without_type"))
-        for beta in sorted(typed - roots):
-            violations.append(ViolationRecord(alpha, beta, expand(alpha, beta),
-                                              "type_without_root"))
+        for kind, betas in (("root_without_type", roots - typed),
+                            ("type_without_root", typed - roots)):
+            for beta in sorted(betas):
+                violations.append(ViolationRecord(alpha, beta, expand(alpha, beta), kind))
         if mode == "coarse":
             listed = listed_of.get(alpha, set())
             for direction, betas in (("root_without_listed_type", roots - listed),
@@ -223,33 +221,40 @@ def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
     The sequences of type (c, core, sigma) are exactly
     outer + (p + (-1)^sigma * c, *core, p) + reversed(outer) with a symmetric
     outer layer of length d = sigma (mod 2), a pivot p >= 1 and a first entry
-    >= 1.  The walk composes the inner block for each pivot and wraps it
-    depth-first in layers (a, ..., a); a continuant grows with every entry
-    and every layer, so each loop stops at its first modulus past alpha_max.
-    A sequence is the selected expansion of its (K(q), K(q[1:])) when its
-    first entry is 1 exactly when its last is, which only the unwrapped
-    block can fail.  The decomposition is unique, so no pair comes twice.
+    >= 1.  The walk wraps each pivot's block depth-first in layers (a, ..., a),
+    carrying only K(q), K(q[1:]), K(q[:-1]) and K(q[1:-1]) of each sequence q:
+    (a, *q, a) has K = a*(a*K(q) + K(q[1:]) + K(q[:-1])) + K(q[1:-1]),
+    denominator a*K(q) + K(q[:-1]), and its own four in O(1).  K grows with
+    every entry and every layer, so each loop stops at its first modulus past
+    alpha_max.  A sequence is the selected expansion of its (K(q), K(q[1:]))
+    when its first entry is 1 exactly when its last is, which only the
+    unwrapped block can fail.  The decomposition is unique, so no pair comes
+    twice.  Each type's core is validated once, before its walk, so a bad
+    entry raises DomainError; the blocks and the walk run unchecked.
     """
     pairs: dict[int, set[int]] = {}
 
-    def walk(q: tuple[int, ...], depth: int, sigma: int) -> bool:
-        # record q and every wrapping of it within the bound; False if q is past it
-        alpha, beta = evaluate(q)
-        if alpha > alpha_max:
-            return False
-        if depth % 2 == sigma and (depth or (q[0] == 1) == (q[-1] == 1)):
-            pairs.setdefault(alpha, set()).add(beta)
+    def walk(k: int, kt: int, kh: int, km: int, record: bool, record_wraps: bool) -> None:
+        # q has K(q) = k, K(q[1:]) = kt, K(q[:-1]) = kh and K(q[1:-1]) = km; its
+        # wrappings are recorded at every other depth, starting from record_wraps
+        if record:
+            pairs.setdefault(k, set()).add(kt)
         a = 1
-        while walk((a, *q, a), depth + 1, sigma):
+        while (alpha := a * (a * k + kt + kh) + km) <= alpha_max:
+            walk(alpha, a * k + kh, a * k + kt, k, record_wraps, not record_wraps)
             a += 1
-        return True
 
     for t in types:
-        sigma = 1 if t.sigma == "odd" else 0
+        _check_entries(t.core)
+        sigma = t.sigma == "odd"
         shift = -t.c if sigma else t.c
-        p = max(1, 1 - shift)
-        while walk((p + shift, *t.core, p), 0, sigma):
-            p += 1
+        for p in range(max(1, 1 - shift), alpha_max + 1):  # K(block) >= p
+            q = (p + shift, *t.core, p)
+            k, kt = _continuant(q, 0, len(q) - 1), _continuant(q, 1, len(q) - 1)
+            if k > alpha_max:
+                break
+            walk(k, kt, _continuant(q, 0, len(q) - 2), _continuant(q, 1, len(q) - 2),
+                 not sigma and (q[0] == 1) == (q[-1] == 1), sigma)
     return pairs
 
 

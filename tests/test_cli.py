@@ -219,6 +219,19 @@ def test_verify_enumeration_refuses_a_large_entry_bound_at_once():
                            "got 1000000000\n")
 
 
+def test_closed_stdout_exits_141_without_a_traceback():
+    # the table's 112 KB fill the pipe, so the child is still writing when
+    # its reader leaves after one line, as `cfasym table | head -1` does
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen([sys.executable, "-m", "cfasym.cli", "table", "--n-max", "40"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          env={**os.environ, "PYTHONPATH": src}) as child:
+        assert child.stdout.readline() == "(1, even)  exceptions: none\n"
+        child.stdout.close()
+        err = child.stderr.read()
+    assert err == "" and child.returncode == cli.CLOSED_PIPE_EXIT == 141
+
+
 def test_env_format_default(capsys, monkeypatch):
     monkeypatch.setenv("CFASYM_FORMAT", "json")
     code, out, _ = run(capsys, "expand", "25", "7")

@@ -172,3 +172,17 @@ def test_run_verification_script_refuses_a_bound_with_the_domain_exit(tmp_path, 
     assert not (tmp_path / "out").exists()
     if flag != "--alpha-max":
         assert done.stdout == ""
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_run_verification_script_refuses_an_out_at_a_file(tmp_path, under):
+    # a usage error before the first sweep, not a traceback from mkdir after all of them
+    found = tmp_path / "reports"
+    found.write_text("kept\n")
+    out = found / under
+    done = subprocess.run([sys.executable, str(RUN_SCRIPT), "--out", str(out)],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr.endswith(f"error: --out {out}: {found} is not a directory\n")
+    assert found.read_text() == "kept\n"

@@ -52,6 +52,26 @@ def test_typed_pairs_match_a_scan_of_every_pair():
         assert _flat(_typed_pairs(coarse_types, 300)) == listed, spec
 
 
+@pytest.mark.parametrize("entry", [0, -1, True])
+def test_typed_pairs_refuse_a_bad_core_entry(entry):
+    # the walk runs unchecked, so the core is validated before it
+    with pytest.raises(DomainError, match=rf"entries must be integers >= 1, got {entry!r}$"):
+        _typed_pairs([ExtendedAsymmetryType(1, (2, entry), "even")], 300)
+
+
+def test_main_theorem_reports_are_pinned():
+    # the bytes of every refined report of the stock sweep (the benchmark's
+    # digest) and of every coarse report at a smaller bound
+    refined = [verify_main_theorem(spec, 2000) for spec in SPECS]
+    assert sum(r.checked for r in refined) == 18664
+    digest = hashlib.sha256("".join(r.to_json() for r in refined).encode()).hexdigest()
+    assert digest == "32dbb307b0805de30d8ba95a6f34931137bd70f18f2e051f95a25e38098569c6"
+    coarse = [verify_main_theorem(spec, 300, mode="coarse") for spec in SPECS]
+    assert sum(len(r.coarse_counterexamples) for r in coarse) == 404
+    digest = hashlib.sha256("".join(r.to_json() for r in coarse).encode()).hexdigest()
+    assert digest == "da715ebf8504f936a9f62e82565142bee9fb1b4f66ae8b9e231b8168c15a33ee"
+
+
 def test_identities_small_sweep():
     report = verify_identities(200, trials=500, seed=7)
     assert report.ok
