@@ -350,6 +350,20 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # results are exact integers of any size, but Python 3.10.7+ refuses
+    # int/str conversions past 4,300 digits: lift the limit for this call only
+    limit = getattr(sys, "get_int_max_str_digits", None)
+    saved = limit() if limit else None
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(saved)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

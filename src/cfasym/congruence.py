@@ -10,17 +10,17 @@ with its three quotient patterns.
 from __future__ import annotations
 
 from itertools import accumulate, chain, cycle
-from math import gcd, isqrt
+from math import gcd
 from typing import Literal, NamedTuple, Optional
 
-from .asymmetry import TARGET_MAX, AsymmetryDecomposition, decompose
+from .asymmetry import TARGET_MAX, decompose
 from .cf import representations
-from .continuants import anticontinuant
 from .errors import DomainError, FoldedFormError, is_int
 
 Condition = Literal["small_alpha", "gamma_condition", "eta_condition"]
 
 ALPHA_MAX = 10**14  # largest modulus solve_quadratic factors (trial division)
+EXCEPTIONAL_N_MAX = 3000  # largest |n| exceptional_candidates certifies (about half a second)
 
 
 class _SpecFields(NamedTuple):
@@ -242,12 +242,11 @@ def _sqrt_mod_prime(u: int, p: int) -> Optional[int]:
     return r
 
 
-def _divisors(v: int) -> set[int]:
-    out = set()
-    for d in range(1, isqrt(v) + 1):
-        if v % d == 0:
-            out.add(d)
-            out.add(v // d)
+def _divisors(v: int) -> list[int]:
+    """Every divisor of v >= 1, multiplied out from the prime powers of `_factor`."""
+    out = [1]
+    for p, k in _factor(v):
+        out = [d * p**i for d in out for i in range(k + 1)]
     return out
 
 
@@ -260,13 +259,18 @@ def exceptional_candidates(spec: CongruenceSpec) -> dict[int, tuple[ExceptionalC
       (3) alpha divides eta*(eta - 2a) + 4*(-1)^s for some eta in [1, 2a - 1].
     Rejected for (s = 0, n = +-2), the only spec where a condition value can
     vanish: 0 needs gamma*(a - gamma) = 1, forcing a = 2 and s = 0, or
-    eta*(2a - eta) = 4, forcing eta = a = 2 and s = 0.
+    eta*(2a - eta) = 4, forcing eta = a = 2 and s = 0.  Also rejected for
+    a > EXCEPTIONAL_N_MAX, where factoring the 3a - 2 condition values takes
+    more than about half a second.
     """
     if spec.n == 0:
         raise DomainError("exceptional_candidates needs n != 0 (value 0 is the symmetric class)")
     if spec.s == 0 and abs(spec.n) == 2:
         raise DomainError("exceptional_candidates excludes (n = +-2, s = 0); "
                           "use the folded-family operations")
+    if abs(spec.n) > EXCEPTIONAL_N_MAX:
+        raise DomainError(f"exceptional_candidates needs |n| <= {EXCEPTIONAL_N_MAX}, "
+                          f"got {spec.n}")
     a = abs(spec.n)
     e = spec.unit
     certs: dict[int, list[ExceptionalCertificate]] = {}
@@ -323,12 +327,16 @@ def true_exceptions(spec: CongruenceSpec, include_negated: bool = True) -> list[
     """Solved pairs over the exceptional moduli with no expansion reaching the target.
 
     A pair survives when neither representation of alpha/beta has
-    anticontinuant n (or -n when the negated congruence is included).
+    anticontinuant n (or -n when the negated congruence is included).  By
+    the congruence identity those anticontinuants are u - beta and
+    alpha - u - beta, with u the inverse of beta mod alpha, which exists
+    since every root is coprime to alpha; so no expansion is built.
     """
     targets = {spec.n, -spec.n} if include_negated else {spec.n}
     out = []
     for alpha, beta in candidate_pairs(spec, include_negated):
-        if not any(anticontinuant(q) in targets for q in representations(alpha, beta)):
+        u = pow(beta, -1, alpha)
+        if u - beta not in targets and alpha - u - beta not in targets:
             out.append((alpha, beta))
     return out
 
@@ -341,11 +349,11 @@ def folded_normalize(p: FoldedParams) -> FoldedParams:
     return FoldedParams(p.b * d * d, p.n // d, p.a // d, p.epsilon)
 
 
-def _match_form(dec: AsymmetryDecomposition) -> Optional[FoldedForm]:
-    if dec.c == 0 or dec.pivot is None:
+def _match_form(q: tuple[int, ...]) -> Optional[FoldedForm]:
+    dec = decompose(q)
+    if dec.c == 0:
         return None
-    displayed = dec.pivot + (dec.c if dec.depth % 2 == 0 else -dec.c)
-    core = dec.core
+    displayed, core = q[dec.depth], dec.core
     if core == () and abs(dec.c) == 2:
         return FoldedForm(form=1, x=None, pivot=dec.pivot)
     if len(core) == 2 and displayed == dec.pivot + 1 and core[1] == 1:
@@ -374,7 +382,7 @@ def folded_expand_classify(p: FoldedParams) -> tuple[tuple[int, ...], FoldedForm
     reps = representations(alpha, beta)  # the selected expansion first
     seq = reps[0]
     for cand in reps:
-        match = _match_form(decompose(cand))
+        match = _match_form(cand)
         if match is not None:
             if len(reps[0]) > 2:
                 seq = cand

@@ -166,6 +166,8 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
         raise DomainError(f"mode must be 'refined' or 'coarse', got {mode!r}")
     if not is_int(alpha_max) or alpha_max < 1:
         raise DomainError(f"alpha_max must be a positive integer, got {alpha_max!r}")
+    if abs(spec.n) > TARGET_MAX:  # enumerate_types' refusal, before the certified set
+        raise DomainError(f"target must be at most {TARGET_MAX} in absolute value, got {spec.n}")
     candidates = exceptional_candidates(spec)  # also validates (n, s)
     n, s = spec.n, spec.s
     catalog = enumerate_types(n, "odd" if s else "even")
@@ -264,19 +266,12 @@ class EnumerationReport(NamedTuple):
     hits: int
     types: int
     violations: tuple[ViolationRecord, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    ok = VerificationReport.ok
+    to_json = VerificationReport.to_json
 
     def to_dict(self) -> dict:
         """The fields plus `ok`, as `VerificationReport.to_dict` gives them."""
         return {**as_plain(self), "ok": self.ok}
-
-    def to_json(self) -> str:
-        import json  # kept out of CLI start-up, like random
-
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> EnumerationReport:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from cfasym import cli, verifier
+from cfasym.continuants import fibonacci
 
 
 def run(capsys, *argv):
@@ -230,6 +231,47 @@ def test_closed_stdout_exits_141_without_a_traceback():
         child.stdout.close()
         err = child.stderr.read()
     assert err == "" and child.returncode == cli.CLOSED_PIPE_EXIT == 141
+
+
+@pytest.fixture
+def int_digit_limit():
+    # Python 3.10.7+ refuses int/str conversions past a digit limit (4,300 by default)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int/str digit limit")
+    saved = sys.get_int_max_str_digits()
+    yield sys.set_int_max_str_digits
+    sys.set_int_max_str_digits(saved)
+
+
+_NINES = ",".join(["9"] * 5000)  # continuants of about 4,800 digits
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", [
+    ["expand", "--from-quotients", _NINES],
+    ["continuant", _NINES],
+    ["anticont", "1," + _NINES],
+], ids=["evaluate", "continuant", "anticont"])
+def test_results_past_the_int_digit_limit_print_exactly(capsys, int_digit_limit, argv, fmt):
+    # the CLI lifts the limit for its call only, so a low limit gives the
+    # bytes that no limit gives, and is in place again afterwards
+    int_digit_limit(0)
+    unlimited = run(capsys, "--format", fmt, *argv)
+    assert unlimited[0] == 0 and unlimited[2] == ""
+    int_digit_limit(640)
+    assert run(capsys, "--format", fmt, *argv) == unlimited
+    assert sys.get_int_max_str_digits() == 640
+
+
+def test_fibonacci_past_the_int_digit_limit_prints_all_its_digits(capsys, int_digit_limit):
+    int_digit_limit(0)
+    digits = str(fibonacci(25000))
+    int_digit_limit(640)
+    assert len(digits) == 5225
+    assert run(capsys, "continuant", "--fib", "25000") == (0, digits + "\n", "")
+    assert run(capsys, "--format", "json", "continuant", "--fib", "25000") == (
+        0, '{"fibonacci": ' + digits + "}\n", "")
+    assert sys.get_int_max_str_digits() == 640
 
 
 def test_env_format_default(capsys, monkeypatch):

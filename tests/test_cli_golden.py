@@ -371,6 +371,16 @@ GOLDEN = [
     Case("verify main --n 129 --s 1", 2,
          "",
          "cfasym: domain error: target must be at most 128 in absolute value, got 129\n"),
+    Case("verify main --n 1000000 --s 1", 2,
+         "",
+         "cfasym: domain error: target must be at most 128 in absolute value, got 1000000\n"),
+    Case("verify main --n 0 --s 1", 2,
+         "",
+         ("cfasym: domain error: exceptional_candidates needs n != 0 (value 0 is the symmetr"
+          "ic class)\n")),
+    Case("exceptional --n 1000000 --s 1", 2,
+         "",
+         "cfasym: domain error: exceptional_candidates needs |n| <= 3000, got 1000000\n"),
     Case("verify enumeration --max-len 0", 2,
          "",
          "cfasym: domain error: bounds must be positive\n"),

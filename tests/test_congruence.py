@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfasym.congruence import (ALPHA_MAX, CongruenceSpec, FoldedParams, candidate_pairs,
-                               exceptional_candidates, folded_expand_classify,
-                               folded_normalize, main_theorem_specs, solve_quadratic,
-                               true_exceptions)
+from cfasym.cf import representations
+from cfasym.congruence import (ALPHA_MAX, EXCEPTIONAL_N_MAX, CongruenceSpec, FoldedParams,
+                               _divisors, candidate_pairs, exceptional_candidates,
+                               folded_expand_classify, folded_normalize, main_theorem_specs,
+                               solve_quadratic, true_exceptions)
+from cfasym.continuants import anticontinuant
 from cfasym.errors import DomainError, FoldedFormError
 
 
@@ -101,6 +103,16 @@ def test_exceptional_candidates_rejections():
         exceptional_candidates(CongruenceSpec(0, 0))
     # n = +-2 is fine at s = 1
     assert 1 in exceptional_candidates(CongruenceSpec(2, 1))
+    # past the bound the factoring would take more than about half a second
+    for n in (EXCEPTIONAL_N_MAX + 1, -EXCEPTIONAL_N_MAX - 1, 10**6):
+        with pytest.raises(DomainError, match=rf"\|n\| <= {EXCEPTIONAL_N_MAX}, got {n}$"):
+            exceptional_candidates(CongruenceSpec(n, 1))
+    assert max(exceptional_candidates(CongruenceSpec(-EXCEPTIONAL_N_MAX, 0))) > EXCEPTIONAL_N_MAX
+
+
+def test_divisors_match_a_scan():
+    for v in range(1, 1001):
+        assert sorted(_divisors(v)) == [d for d in range(1, v + 1) if v % d == 0], v
 
 
 @pytest.mark.parametrize("n,s", [(3, 1), (4, 0), (5, 0), (6, 1), (-4, 0), (1, 1)])
@@ -161,6 +173,27 @@ def test_candidate_pairs_match_both_signs_solved_apart():
         single = [(alpha, beta) for alpha in moduli for beta in solve_quadratic(spec, alpha)]
         assert candidate_pairs(spec) == both, spec
         assert candidate_pairs(spec, include_negated=False) == single, spec
+
+
+@pytest.mark.parametrize("include_negated", [True, False])
+def test_true_exceptions_match_their_definition(include_negated):
+    # the library reads the anticontinuants off beta's inverse; here both
+    # representations are expanded and their anticontinuants taken
+    for spec in main_theorem_specs(40):
+        targets = {spec.n, -spec.n} if include_negated else {spec.n}
+        expected = [(alpha, beta) for alpha, beta in candidate_pairs(spec, include_negated)
+                    if not any(anticontinuant(q) in targets
+                               for q in representations(alpha, beta))]
+        assert true_exceptions(spec, include_negated) == expected, spec
+
+
+def test_representations_have_anticontinuants_read_off_the_inverse():
+    for alpha in range(2, 301):
+        for beta in range(1, alpha):
+            if gcd(alpha, beta) == 1:
+                u = pow(beta, -1, alpha)
+                found = sorted(anticontinuant(q) for q in representations(alpha, beta))
+                assert found == sorted((u - beta, alpha - u - beta)), (alpha, beta)
 
 
 def test_true_exceptions_examples():

@@ -145,6 +145,15 @@ def test_main_theorem_rejects_bad_specs():
         verify_main_theorem(CongruenceSpec(TARGET_MAX + 1, 1), 100)
 
 
+def test_main_theorem_refuses_a_large_n_before_the_certified_set(monkeypatch):
+    # the certified set grows about as n^2, so it is not built for a refused n
+    monkeypatch.setattr(verifier, "exceptional_candidates",
+                        lambda spec: pytest.fail("the certified set was built"))
+    for n in (TARGET_MAX + 1, -10**6):
+        with pytest.raises(DomainError, match=f"at most 128 in absolute value, got {n}$"):
+            verify_main_theorem(CongruenceSpec(n, 1), 10)
+
+
 @pytest.mark.parametrize("alpha_max", [0, -3, 2.5])
 def test_main_theorem_rejects_bad_alpha_max(alpha_max):
     with pytest.raises(DomainError, match="alpha_max"):
@@ -303,6 +312,15 @@ def test_table_csv_and_text():
     assert "2,odd,1,2,2:1" in lines
     text = doc.to_text()
     assert "(2, odd)  exceptions: (2,1)" in text
+
+
+def test_build_table_to_the_catalog_bound_is_pinned():
+    # every row's types and true exceptions, as CSV and as text
+    doc = build_table(TARGET_MAX)
+    assert hashlib.sha256(doc.to_csv().encode()).hexdigest() == (
+        "7bf1e497cbaea5717a7435bb99249cf5af24977e62b339e85b50c5ad629eb418")
+    assert hashlib.sha256(doc.to_text().encode()).hexdigest() == (
+        "2705aa2f57720c87ca68abd96f688f89217af47ca9a05d41f3128eac7b3fd08c")
 
 
 def test_build_table_determinism():
