@@ -20,7 +20,9 @@ from .errors import DomainError, FoldedFormError, is_int
 Condition = Literal["small_alpha", "gamma_condition", "eta_condition"]
 
 ALPHA_MAX = 10**14  # largest modulus solve_quadratic factors (trial division)
-EXCEPTIONAL_N_MAX = 3000  # largest |n| exceptional_candidates certifies (about half a second)
+# largest |n| exceptional_candidates certifies: its slowest use, true_exceptions,
+# solves every certified modulus and takes about half a second there
+EXCEPTIONAL_N_MAX = 1000
 
 
 class _SpecFields(NamedTuple):
@@ -198,9 +200,12 @@ def _square_roots(d: int, p: int, k: int) -> list[int]:
 def _unit_square_roots(u: int, p: int, m: int) -> list[int]:
     """All z in [0, p^m) with z^2 = u (mod p^m), for u prime to p and m >= 1.
 
-    Odd p: Tonelli-Shanks mod p, then Hensel lifting with Newton steps, which
-    double the precision; the roots are +-z.  p = 2: the odd roots mod 2^j
-    are lifted bit by bit, and there are never more than four of them.
+    Odd p: the units mod q = p^m form a cyclic group of order q - q/p, and a
+    unit is a square mod q exactly when it is one mod p (Euler's criterion),
+    so Tonelli-Shanks runs in that group, with a non-residue mod p as its
+    generator of the 2-part, and finds a root r; the roots are +-r.  p = 2:
+    the group is not cyclic, so the odd roots mod 2^j are lifted bit by bit,
+    and there are never more than four of them.
     """
     if p == 2:
         roots = [1]
@@ -208,38 +213,23 @@ def _unit_square_roots(u: int, p: int, m: int) -> list[int]:
             mod = 2 << j
             roots = [y for r in roots for y in (r, r + (1 << j)) if (y * y - u) % mod == 0]
         return roots
-    z = _sqrt_mod_prime(u % p, p)
-    if z is None:
-        return []
-    prec, pm = 1, p**m
-    while prec < m:
-        prec = min(2 * prec, m)
-        mod = p**prec
-        z = (z - (z * z - u) * pow(2 * z, -1, mod)) % mod
-    return [z, pm - z]
-
-
-def _sqrt_mod_prime(u: int, p: int) -> Optional[int]:
-    """A square root of the unit u modulo the odd prime p (Tonelli-Shanks), or None."""
     if pow(u, (p - 1) // 2, p) != 1:
-        return None
-    odd, twos = p - 1, 0
+        return []
+    q = p**m
+    odd, twos = q - q // p, 0
     while odd % 2 == 0:
         odd //= 2
         twos += 1
     z = 2
     while pow(z, (p - 1) // 2, p) == 1:
         z += 1
-    c, t, r = pow(z, odd, p), pow(u, odd, p), pow(u, (odd + 1) // 2, p)
-    while t != 1:
-        i, t2 = 0, t
-        while t2 != 1:
-            t2 = t2 * t2 % p
-            i += 1
-        b = pow(c, 1 << (twos - i - 1), p)
-        twos, c = i, b * b % p
-        t, r = t * c % p, r * b % p
-    return r
+    c, t, r = pow(z, odd, q), pow(u, odd, q), pow(u, (odd + 1) // 2, q)
+    while t != 1:  # t has order 2^i, i < twos; next raises if it does not
+        i = next(i for i in range(1, twos) if pow(t, 1 << i, q) == 1)
+        b = pow(c, 1 << (twos - i - 1), q)
+        twos, c = i, b * b % q
+        t, r = t * c % q, r * b % q
+    return [r, q - r]
 
 
 def _divisors(v: int) -> list[int]:
@@ -260,8 +250,8 @@ def exceptional_candidates(spec: CongruenceSpec) -> dict[int, tuple[ExceptionalC
     Rejected for (s = 0, n = +-2), the only spec where a condition value can
     vanish: 0 needs gamma*(a - gamma) = 1, forcing a = 2 and s = 0, or
     eta*(2a - eta) = 4, forcing eta = a = 2 and s = 0.  Also rejected for
-    a > EXCEPTIONAL_N_MAX, where factoring the 3a - 2 condition values takes
-    more than about half a second.
+    a > EXCEPTIONAL_N_MAX, past which `true_exceptions`, which solves every
+    certified modulus, takes more than about half a second.
     """
     if spec.n == 0:
         raise DomainError("exceptional_candidates needs n != 0 (value 0 is the symmetric class)")

@@ -12,11 +12,17 @@ from .errors import DomainError, is_int
 
 Quotients = Sequence[int]
 
+# largest index fibonacci computes: its additions of ever longer integers cost
+# about k^2, and F_k at this k takes about half a second
+FIB_MAX = 200_000
+
 
 def fibonacci(k: int) -> int:
-    """F_0 = 0, F_1 = F_2 = 1, F_k = F_{k-1} + F_{k-2}."""
+    """F_0 = 0, F_1 = F_2 = 1, F_k = F_{k-1} + F_{k-2}, for 0 <= k <= FIB_MAX."""
     if not is_int(k) or k < 0:
         raise DomainError(f"fibonacci index must be a nonnegative integer, got {k!r}")
+    if k > FIB_MAX:
+        raise DomainError(f"fibonacci index must be at most {FIB_MAX}, got {k}")
     a, b = 0, 1
     for _ in range(k):
         a, b = b, a + b

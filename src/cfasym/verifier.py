@@ -223,16 +223,19 @@ def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
     The sequences of type (c, core, sigma) are exactly
     outer + (p + (-1)^sigma * c, *core, p) + reversed(outer) with a symmetric
     outer layer of length d = sigma (mod 2), a pivot p >= 1 and a first entry
-    >= 1.  The walk wraps each pivot's block depth-first in layers (a, ..., a),
-    carrying only K(q), K(q[1:]), K(q[:-1]) and K(q[1:-1]) of each sequence q:
-    (a, *q, a) has K = a*(a*K(q) + K(q[1:]) + K(q[:-1])) + K(q[1:-1]),
-    denominator a*K(q) + K(q[:-1]), and its own four in O(1).  K grows with
-    every entry and every layer, so each loop stops at its first modulus past
-    alpha_max.  A sequence is the selected expansion of its (K(q), K(q[1:]))
-    when its first entry is 1 exactly when its last is, which only the
-    unwrapped block can fail.  The decomposition is unique, so no pair comes
-    twice.  Each type's core is validated once, before its walk, so a bad
-    entry raises DomainError; the blocks and the walk run unchecked.
+    >= 1.  Every sequence q is carried as K(q), K(q[1:]), K(q[:-1]) and
+    K(q[1:-1]); (x, *q, y) has K = x*(y*K(q) + K(q[:-1])) + y*K(q[1:]) +
+    K(q[1:-1]), y*K(q) + K(q[:-1]) and x*K(q) + K(q[1:]) for its tail and
+    head, and K(q) inside.  Only the cores are evaluated (1, 0, 0, 1 when
+    empty): the step at (x, y) = (p + (-1)^sigma * c, p) gives each pivot's
+    block, and the walk wraps it depth-first in layers at x = y = a.  K grows
+    with every entry and every layer, so each loop stops at its first modulus
+    past alpha_max.  A sequence is the selected expansion of its
+    (K(q), K(q[1:])) when its first entry is 1 exactly when its last is,
+    which only the unwrapped block can fail.  The decomposition is unique, so
+    no pair comes twice.  Each type's core is validated once, before its
+    walk, so a bad entry raises DomainError; the blocks and the walk run
+    unchecked.
     """
     pairs: dict[int, set[int]] = {}
 
@@ -248,15 +251,16 @@ def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
 
     for t in types:
         _check_entries(t.core)
+        end = len(t.core) - 1
+        k, kt = _continuant(t.core, 0, end), _continuant(t.core, 1, end)
+        kh, km = _continuant(t.core, 0, end - 1), _continuant(t.core, 1, end - 1)
         sigma = t.sigma == "odd"
         shift = -t.c if sigma else t.c
-        for p in range(max(1, 1 - shift), alpha_max + 1):  # K(block) >= p
-            q = (p + shift, *t.core, p)
-            k, kt = _continuant(q, 0, len(q) - 1), _continuant(q, 1, len(q) - 1)
-            if k > alpha_max:
+        for y in range(max(1, 1 - shift), alpha_max + 1):  # K(block) >= y
+            x = y + shift
+            if (alpha := x * (y * k + kh) + y * kt + km) > alpha_max:
                 break
-            walk(k, kt, _continuant(q, 0, len(q) - 2), _continuant(q, 1, len(q) - 2),
-                 not sigma and (q[0] == 1) == (q[-1] == 1), sigma)
+            walk(alpha, y * k + kh, x * k + kt, k, not sigma and (x == 1) == (y == 1), sigma)
     return pairs
 
 

@@ -30,6 +30,14 @@ def test_decompose_examples():
     assert (d.depth, d.c, d.core, d.pivot) == (0, 0, (4,), None)
 
 
+def test_decompose_and_extended_type_refusals():
+    with pytest.raises(DomainError, match="cannot decompose an empty sequence"):
+        decompose(())
+    # a symmetric sequence has value 0, which no extended type carries
+    with pytest.raises(DomainError, match="symmetric sequences have no extended type"):
+        extended_type(decompose((3, 1, 1, 3)))
+
+
 def test_compose_examples():
     assert compose(AsymmetryDecomposition(0, 4, (), 1, ())) == (5, 1)
     assert compose(AsymmetryDecomposition(2, 0, (), None, (3, 1))) == (3, 1, 1, 3)

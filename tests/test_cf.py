@@ -65,6 +65,11 @@ def test_alternate_expansion():
         alternate_expansion((1,))
 
 
+def test_alternate_expansion_refuses_the_empty_sequence():
+    with pytest.raises(DomainError, match="empty sequence has no alternate"):
+        alternate_expansion(())
+
+
 def test_parity_by_inverse_examples():
     pred = parity_by_inverse(25, 7)
     assert pred.v_inverse == 18

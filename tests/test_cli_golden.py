@@ -380,7 +380,13 @@ GOLDEN = [
           "ic class)\n")),
     Case("exceptional --n 1000000 --s 1", 2,
          "",
-         "cfasym: domain error: exceptional_candidates needs |n| <= 3000, got 1000000\n"),
+         "cfasym: domain error: exceptional_candidates needs |n| <= 1000, got 1000000\n"),
+    Case("exceptional --n 1001 --s 1 --pairs", 2,
+         "",
+         "cfasym: domain error: exceptional_candidates needs |n| <= 1000, got 1001\n"),
+    Case("exceptional --n 1001 --s 1 --true-exceptions", 2,
+         "",
+         "cfasym: domain error: exceptional_candidates needs |n| <= 1000, got 1001\n"),
     Case("verify enumeration --max-len 0", 2,
          "",
          "cfasym: domain error: bounds must be positive\n"),
@@ -394,6 +400,15 @@ GOLDEN = [
          "",
          ("cfasym: domain error: --sigma does not apply with --pivot: the length of --"
           "outer fixes it\n")),
+    Case("type --marginal 0 --core 1 --pivot 2", 2,
+         "",
+         "cfasym: domain error: symmetric decomposition must not carry a pivot\n"),
+    Case("folded --b 1 --n 1 --a 1", 2,
+         "",
+         "cfasym: domain error: denominator 0 outside (0, 1)\n"),
+    Case("folded --b 1 --n 3 --a 5", 2,
+         "",
+         "cfasym: domain error: denominator 14 outside (0, 9)\n"),
     Case("type --marginal 1 --outer=", 2,
          "",
          "cfasym: domain error: --outer needs --pivot\n"),
@@ -425,6 +440,9 @@ GOLDEN = [
     Case("expand --from-quotients 3,1 --predict-parity", 2,
          "",
          "cfasym: domain error: --predict-parity does not apply with --from-quotients\n"),
+    Case("continuant --fib 200001", 2,
+         "",
+         "cfasym: domain error: fibonacci index must be at most 200000, got 200001\n"),
     Case("continuant 1,2,3 --fib 5", 2,
          "",
          "cfasym: domain error: a SEQUENCE does not apply with --fib\n"),

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cfasym import congruence
 from cfasym.cf import representations
-from cfasym.congruence import (ALPHA_MAX, EXCEPTIONAL_N_MAX, CongruenceSpec, FoldedParams,
-                               _divisors, candidate_pairs, exceptional_candidates,
+from cfasym.congruence import (ALPHA_MAX, EXCEPTIONAL_N_MAX, CongruenceSpec, FoldedForm,
+                               FoldedParams, _divisors, candidate_pairs, exceptional_candidates,
                                folded_expand_classify, folded_normalize, main_theorem_specs,
                                solve_quadratic, true_exceptions)
 from cfasym.continuants import anticontinuant
@@ -264,6 +265,19 @@ def test_folded_classify_rejections():
     with pytest.raises(FoldedFormError):
         # (5, 4) solves (x+1)^2 = 0 mod 5 but no representation matches a pattern
         folded_expand_classify(FoldedParams(5, 1, 1, 1))
+
+
+@pytest.mark.parametrize("params, planted, message", [
+    (FoldedParams(1, 5, 2, 1), FoldedForm(2, 1, 3), "b = 1 requires form 1, got form 2"),
+    (FoldedParams(2, 2, 1, 1), FoldedForm(1, None, 1), "b = 2 requires form 2 or 3 with x = 1"),
+    (FoldedParams(2, 2, 1, 1), FoldedForm(3, 4, 1), "b = 2 requires form 2 or 3 with x = 1"),
+], ids=["b1_not_form_1", "b2_form_1", "b2_wrong_x"])
+def test_folded_classify_refuses_a_form_that_b_forbids(monkeypatch, params, planted, message):
+    # no real expansion reaches these guards (test_folded_sweep_small), so a
+    # planted pattern matcher does
+    monkeypatch.setattr(congruence, "_match_form", lambda q: planted)
+    with pytest.raises(FoldedFormError, match=message):
+        folded_expand_classify(params)
 
 
 def test_folded_sweep_small():

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfasym.continuants import (anticontinuant, anticontinuant_range, continuant,
+from cfasym.continuants import (FIB_MAX, anticontinuant, anticontinuant_range, continuant,
                                 continuant_range, euler_residual, fibonacci)
 from cfasym.errors import DomainError
 
@@ -87,6 +87,15 @@ def test_fibonacci():
     assert [fibonacci(k) for k in range(8)] == [0, 1, 1, 2, 3, 5, 8, 13]
     with pytest.raises(DomainError):
         fibonacci(-1)
+
+
+def test_fibonacci_is_bounded():
+    # past the bound its cost, about k^2, passes half a second; F_k mod 1000
+    # repeats with period 1500, which checks the value at the bound
+    assert fibonacci(FIB_MAX) % 1000 == fibonacci(FIB_MAX % 1500) % 1000
+    for k in (FIB_MAX + 1, 10**9):
+        with pytest.raises(DomainError, match=rf"at most {FIB_MAX}, got {k}$"):
+            fibonacci(k)
 
 
 @pytest.mark.parametrize("s", range(1, 21))

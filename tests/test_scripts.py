@@ -186,3 +186,37 @@ def test_run_verification_script_refuses_an_out_at_a_file(tmp_path, under):
     assert done.returncode == 2 and done.stdout == ""
     assert done.stderr.endswith(f"error: --out {out}: {found} is not a directory\n")
     assert found.read_text() == "kept\n"
+
+
+CODE_LINES_SNIPPET = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code counts its line
+
+# a comment line does not count
+
+
+def f(x):
+    """A one-line docstring."""
+    text = """a multi-line
+string that is not a docstring"""
+    return (x +
+            1)
+
+
+class C:
+    """Class docstring."""
+
+    def g(self):
+        pass
+'''
+
+
+def test_code_lines_leaves_out_docstrings_comments_and_blanks(tmp_path, capsys):
+    script = runpy.run_path(str(SCRIPTS / "code_lines.py"), run_name="code_lines")
+    # import, def f, the two string lines, the two return lines, class C, def g, pass
+    assert script["code_lines"](CODE_LINES_SNIPPET) == 9
+    (tmp_path / "a.py").write_text(CODE_LINES_SNIPPET)
+    (tmp_path / "b.py").write_text('"""Only a docstring."""\n\nX = 1\n')
+    assert script["main"]([str(tmp_path)]) == 0
+    assert capsys.readouterr().out == "a.py       9\nb.py       1\ntotal     10\n"
