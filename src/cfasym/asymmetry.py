@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Optional
 
-from .continuants import _check_entries, _continuant, fibonacci
+from .continuants import _check_entries, _ends, fibonacci
 from .errors import DomainError, is_int
 
 Sigma = Literal["even", "odd"]
@@ -182,9 +182,8 @@ def type_value(t: ExtendedAsymmetryType) -> int:
 
 def _sigma_even_value(c: int, core: tuple[int, ...]) -> int:
     """c * K(core) - A(core), unchecked: the inner loop of `enumerate_types`."""
-    last = len(core) - 1
-    a = _continuant(core, 0, last - 1) - _continuant(core, 1, last)
-    return c * _continuant(core, 0, last) - a
+    k, kt, kh, _ = _ends(core)
+    return c * k - (kh - kt)
 
 
 def _sigma_even_pairs(bound: int) -> dict[int, list[tuple[int, tuple[int, ...]]]]:

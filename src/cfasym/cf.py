@@ -14,7 +14,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Literal, NamedTuple
 
-from .continuants import _check_entries, _continuant
+from .continuants import _check_entries, _ends
 from .errors import DomainError, is_int
 
 Parity = Literal["even", "odd"]
@@ -96,8 +96,7 @@ def evaluate(q) -> tuple[int, int]:
     if not q:
         raise DomainError("cannot evaluate an empty quotient sequence")
     _check_entries(q)
-    alpha = _continuant(q, 0, len(q) - 1)
-    beta = _continuant(q, 1, len(q) - 1)
+    alpha, beta, _, _ = _ends(q)
     return alpha, beta
 
 

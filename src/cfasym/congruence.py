@@ -20,6 +20,7 @@ from .errors import DomainError, FoldedFormError, is_int
 Condition = Literal["small_alpha", "gamma_condition", "eta_condition"]
 
 ALPHA_MAX = 10**14  # largest modulus solve_quadratic factors (trial division)
+ROOTS_MAX = 10**6  # most roots solve_quadratic lists; cfasym solve prints them in 0.5 s
 # largest |n| exceptional_candidates certifies: its slowest use, true_exceptions,
 # solves every certified modulus and takes about half a second there
 EXCEPTIONAL_N_MAX = 1000
@@ -116,9 +117,12 @@ def solve_quadratic(spec: CongruenceSpec, alpha: int) -> list[int]:
     """All beta in (0, alpha) with beta^2 + n*beta + (-1)^s = 0 (mod alpha), sorted.
 
     Factors alpha by trial division, finds the roots modulo each prime power
-    p^k (`_roots_mod_prime_power`) and combines them by CRT.  Cost
-    O(sqrt(alpha) + #roots * log(alpha)); alpha above ALPHA_MAX is refused so
-    that the factoring stays bounded.  Every root is coprime to alpha.
+    p^k as residue classes (`_roots_mod_prime_power`), combines the classes
+    by CRT and lists their members once.  Cost
+    O(sqrt(alpha) + #roots * log(alpha));
+    alpha above ALPHA_MAX is refused so that the factoring stays bounded,
+    and more than ROOTS_MAX roots, counted from the classes before any is
+    listed, so that the list does.  Every root is coprime to alpha.
     """
     if not is_int(alpha) or alpha < 1:
         raise DomainError(f"alpha must be a positive integer, got {alpha!r}")
@@ -126,16 +130,18 @@ def solve_quadratic(spec: CongruenceSpec, alpha: int) -> list[int]:
         raise DomainError(f"alpha must be at most 10**14, got {alpha}")
     if alpha == 1:
         return []
-    roots, modulus = [0], 1
+    classes, modulus = [0], 1
     for p, k in _factor(alpha):
-        q = p**k
-        local = _roots_mod_prime_power(spec.n, spec.unit, p, k)
+        local, step = _roots_mod_prime_power(spec.n, spec.unit, p, k)
         if not local:
             return []
-        m_inv = pow(modulus, -1, q)
-        roots = [r + modulus * ((t - r) * m_inv % q) for r in roots for t in local]
-        modulus *= q
-    return sorted(roots)
+        m_inv = pow(modulus, -1, step)
+        classes = [c + modulus * ((t - c) * m_inv % step) for c in classes for t in local]
+        modulus *= step
+    count = len(classes) * (alpha // modulus)
+    if count > ROOTS_MAX:
+        raise DomainError(f"alpha = {alpha} gives {count} roots; at most {ROOTS_MAX} are listed")
+    return sorted(r for c in classes for r in range(c, alpha, modulus))
 
 
 def _factor(v: int) -> list[tuple[int, int]]:
@@ -155,46 +161,43 @@ def _factor(v: int) -> list[tuple[int, int]]:
     return out
 
 
-def _roots_mod_prime_power(n: int, e: int, p: int, k: int) -> list[int]:
-    """Roots of x^2 + n*x + e (mod p^k), e = +-1, via a square root of the discriminant.
+def _roots_mod_prime_power(n: int, e: int, p: int, k: int) -> tuple[list[int], int]:
+    """Roots of x^2 + n*x + e (mod p^k), e = +-1, as classes t (mod step), step | p^k.
 
-    Odd p: y = 2x + n turns the equation into y^2 = n^2 - 4e.  p = 2: odd n
-    leaves x^2 + n*x + e odd, so there is no root; even n gives
+    Via a square root of the discriminant.  Odd p: y = 2x + n turns the
+    equation into y^2 = n^2 - 4e, and 2 is invertible mod step.  p = 2: odd
+    n leaves x^2 + n*x + e odd, so there is no root; even n gives
     (x + n/2)^2 = n^2/4 - e.
     """
-    q = p**k
     if p == 2:
         if n % 2:
-            return []
+            return [], 1
         half = n // 2
-        return [(y - half) % q for y in _square_roots(half * half - e, 2, k)]
-    inv2 = (q + 1) // 2
-    return [(y - n) * inv2 % q for y in _square_roots(n * n - 4 * e, p, k)]
+        ys, step = _square_roots(half * half - e, 2, k)
+        return [(y - half) % step for y in ys], step
+    ys, step = _square_roots(n * n - 4 * e, p, k)
+    return [(y - n) * ((step + 1) // 2) % step for y in ys], step
 
 
-def _square_roots(d: int, p: int, k: int) -> list[int]:
-    """All y in [0, p^k) with y^2 = d (mod p^k), in time linear in their number.
+def _square_roots(d: int, p: int, k: int) -> tuple[list[int], int]:
+    """The y with y^2 = d (mod p^k), as classes t (mod step) with step | p^k.
 
     With d = 0 (mod p^k) the roots are the multiples of p^ceil(k/2).  Otherwise
     d = p^v * u with u a unit and v < k; a root needs v even and then is
     p^(v/2) * w, where w runs over the lifts to p^(k - v/2) of the unit roots
-    of w^2 = u (mod p^(k - v)).
+    z of w^2 = u (mod p^(k - v)): the classes p^(v/2) * z mod p^(k - v/2).
     """
-    q = p**k
-    d %= q
+    d %= p**k
     if d == 0:
-        step = p ** ((k + 1) // 2)
-        return list(range(0, q, step))
+        return [0], p ** ((k + 1) // 2)
     v = 0
     while d % p == 0:
         d //= p
         v += 1
     if v % 2:
-        return []
-    m = k - v
-    units = _unit_square_roots(d, p, m)
-    scale, pm = p ** (v // 2), p**m
-    return [scale * (z + j * pm) for z in units for j in range(scale)]
+        return [], 1
+    scale = p ** (v // 2)
+    return [scale * z for z in _unit_square_roots(d, p, k - v)], scale * p ** (k - v)
 
 
 def _unit_square_roots(u: int, p: int, m: int) -> list[int]:

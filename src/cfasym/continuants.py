@@ -43,14 +43,22 @@ def _check_indices(*indices) -> None:
             raise DomainError(f"indices must be integers, got {k!r}")
 
 
+def _ends(q: Quotients) -> tuple[int, int, int, int]:
+    """K(q), K(q[1:]), K(q[:-1]) and K(q[1:-1]) in one pass, unchecked.
+
+    Starts from (1, 0, 0, 1), the empty sequence's, and appends each entry e:
+    (*q, e) has e*K(q) + K(q[:-1]) and e*K(q[1:]) + K(q[1:-1]), then K(q) and
+    K(q[1:]).  A single entry e gives (e, 1, 1, 0).
+    """
+    k, kt, kh, km = 1, 0, 0, 1
+    for e in q:
+        k, kt, kh, km = e * k + kh, e * kt + km, k, kt
+    return k, kt, kh, km
+
+
 def _continuant(q: Quotients, i: int, j: int) -> int:
     """Unchecked kernel of `continuant_range`; callers validate q and the range."""
-    if j == i - 2:
-        return 0
-    prev2, prev = 0, 1
-    for k in range(i, j + 1):
-        prev2, prev = prev, q[k] * prev + prev2
-    return prev
+    return 0 if j == i - 2 else _ends(q[i:j + 1])[0]
 
 
 def continuant_range(q: Quotients, i: int, j: int) -> int:
@@ -83,7 +91,8 @@ def anticontinuant_range(q: Quotients, i: int, j: int) -> int:
     if not (0 <= i and i <= j + 1 and j <= s - 1):
         raise DomainError(f"anticontinuant range ({i}, {j}) invalid for length {s}")
     _check_entries(q)
-    return _continuant(q, i, j - 1) - _continuant(q, i + 1, j)
+    _, kt, kh, _ = _ends(q[i:j + 1])
+    return kh - kt
 
 
 def anticontinuant(q: Quotients) -> int:

@@ -15,16 +15,17 @@ Two-sided hits.  For a != e, A(a, m, e) = (a - e)*K(m) + K(m[1:]) - K(m[:-1]).
 With a > e the first term is at least K(m) >= K(m[:-1]), so the value is
 at least K(m[1:]) >= 1; with a < e it is at most -K(m[:-1]).  So a hit
 with a > e has a middle m = (x, *r) with K(r) <= B, and a pruned
-depth-first search lists those r (a continuant grows as entries are
-appended).  It carries K(r), K(r[1:]), K(r[:-1]) and K(r[1:-1]), so each
-middle's K(m) and A(m) come in one step, and a middle is built as a tuple
-only when it yields a block.  Each middle is checked exactly: the value is
-v = d*K(m) - A(m) with d = a - e >= 1, so only d <= (A(m) + B) // K(m) can
-give a hit, and every such (a, e) does.  For each r the walk stops x at
-the first middle whose d = 1 value passes B, as that value never
-decreases in x.  The two-sided block (m, d, v) stands for the hits
-(e + d, m, e) with value v and their reversals (e, rev m, e + d) with
-value -v, as A(reversed q) = -A(q), for e in 1..max_entry - d.
+depth-first search finds those r (a continuant grows as entries are
+appended) and checks each r's middles where it reaches r.  It carries K(r),
+K(r[1:]), K(r[:-1]) and K(r[1:-1]), so each middle's K(m) and A(m) come in
+one step, and a middle is built as a tuple only when it yields a block.
+Each middle is checked exactly: the value is v = d*K(m) - A(m) with
+d = a - e >= 1, so only d <= (A(m) + B) // K(m) can give a hit, and every
+such (a, e) does.  For each r the walk stops x at the first middle whose
+d = 1 value passes B, as that value never decreases in x.  The two-sided
+block (m, d, v) stands for the hits (e + d, m, e) with value v and their
+reversals (e, rev m, e + d) with value -v, as A(reversed q) = -A(q), for
+e in 1..max_entry - d.
 
 Type instances.  Every hit is a block's hit wrapped in a symmetric outer
 layer of some depth D, and `verify_enumeration` reads its type instance
@@ -63,7 +64,7 @@ from .errors import DomainError, is_int
 # but value 2's (x, 1), one for every x, so only those grow with max_entry
 ENTRY_MAX = 1000
 # (max_entry + 1)**max_len, the sequences a check stands for, stays below it:
-# it caps max_len, the walk's length loop and the hit count reported
+# it caps max_len, the search's depth and the hit count reported
 _SEQUENCE_SPACE_MAX = 2 ** 62
 
 
@@ -92,39 +93,36 @@ def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:
 
 def _two_sided_blocks(max_len: int, max_entry: int, bound: int
                       ) -> Iterator[tuple[tuple[int, ...], int, int]]:
-    """The blocks (m, d, v), v = d*K(m) - A(m), of every two-sided hit, by length.
+    """The blocks (m, d, v), v = d*K(m) - A(m), of every two-sided hit.
 
     The block stands for the hits (e + d, *m, e) with value v and
     (e, *reversed(m), e + d) with value -v, for e in 1..max_entry - d.
     `bound` must come from `_checked_bound`.
     """
     entries = range(1, max_entry + 1)
-    # the r with K(r) <= bound, by length, each with K(r), K(r[1:]), K(r[:-1])
-    # and K(r[1:-1]): (*r, e) has e*K(r) + K(r[:-1]) and e*K(r[1:]) + K(r[1:-1]),
-    # then K(r) and K(r[1:]).  K(r, e) grows with e, so the search stops at the
-    # first e past the bound
-    small: list[list[tuple]] = [[] for _ in range(max(max_len - 2, 1))]
-
-    def search(r, k, kt, kh, km):
-        small[len(r)].append((r, k, kt, kh, km))
-        if len(r) + 1 < len(small):
-            for e in entries:
-                if e * k + kh > bound:
-                    break
-                search((*r, e), e * k + kh, e * kt + km, k, kt)
-
-    search((), 1, 0, 0, 1)
     if max_len >= 2:  # the empty middle: K = 1 and A = 0, so v = d
         yield from (((), d, d) for d in range(1, min(max_entry - 1, bound) + 1))
-    for length in range(3, max_len + 1):
-        for r, k_r, kt, kh, km in small[length - 3]:
-            # m = (x, *r) has K(m) = x*K(r) + K(r[1:]) and
-            # A(m) = K(x, *r[:-1]) - K(r) = x*K(r[:-1]) + K(r[1:-1]) - K(r).
-            # The d = 1 value K(m) - A(m) grows with x by K(r) - K(r[:-1]) >= 0,
-            # which is 0 only for value 2's middles (x, 1): stop past the bound
-            for x in entries:
-                k, a_m = x * k_r + kt, x * kh + km - k_r
-                if k - a_m > bound:
+
+    def search(r, k_r, kt, kh, km):
+        # r has K(r) = k_r <= bound, K(r[1:]) = kt, K(r[:-1]) = kh and
+        # K(r[1:-1]) = km.  m = (x, *r) has K(m) = x*K(r) + K(r[1:]) and
+        # A(m) = K(x, *r[:-1]) - K(r) = x*K(r[:-1]) + K(r[1:-1]) - K(r).
+        # The d = 1 value K(m) - A(m) grows with x by K(r) - K(r[:-1]) >= 0,
+        # which is 0 only for value 2's middles (x, 1): stop past the bound
+        for x in entries:
+            k, a_m = x * k_r + kt, x * kh + km - k_r
+            if k - a_m > bound:
+                break
+            for d in range(1, min(max_entry - 1, (a_m + bound) // k) + 1):
+                yield (x, *r), d, d * k - a_m
+        # (*r, e) has e*K(r) + K(r[:-1]) and e*K(r[1:]) + K(r[1:-1]), then K(r)
+        # and K(r[1:]); its middles give blocks of length len(r) + 4.  K(r, e)
+        # grows with e, so the search stops at the first e past the bound
+        if len(r) + 4 <= max_len:
+            for e in entries:
+                if e * k_r + kh > bound:
                     break
-                for d in range(1, min(max_entry - 1, (a_m + bound) // k) + 1):
-                    yield (x, *r), d, d * k - a_m
+                yield from search((*r, e), e * k_r + kh, e * kt + km, k_r, kt)
+
+    if max_len >= 3:
+        yield from search((), 1, 0, 0, 1)

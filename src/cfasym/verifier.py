@@ -24,7 +24,7 @@ from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, _catalog, _sigma_even
 from .cf import alternate_expansion, expand, parity_by_inverse
 from .congruence import (CongruenceSpec, ExceptionalCertificate, exceptional_candidates,
                          main_theorem_specs, solve_quadratic, true_exceptions)
-from .continuants import _check_entries, _continuant, anticontinuant, euler_residual
+from .continuants import _check_entries, _ends, anticontinuant, euler_residual
 from .errors import DomainError, as_plain, is_int, render_csv
 
 Mode = Literal["refined", "coarse"]
@@ -251,9 +251,7 @@ def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
 
     for t in types:
         _check_entries(t.core)
-        end = len(t.core) - 1
-        k, kt = _continuant(t.core, 0, end), _continuant(t.core, 1, end)
-        kh, km = _continuant(t.core, 0, end - 1), _continuant(t.core, 1, end - 1)
+        k, kt, kh, km = _ends(t.core)
         sigma = t.sigma == "odd"
         shift = -t.c if sigma else t.c
         for y in range(max(1, 1 - shift), alpha_max + 1):  # K(block) >= y

@@ -353,6 +353,14 @@ GOLDEN = [
     Case("solve --n 4 --s 0 --alpha 100000000000001", 2,
          "",
          "cfasym: domain error: alpha must be at most 10**14, got 100000000000001\n"),
+    Case("solve --n 2 --s 0 --alpha 4000000000000", 2,
+         "",
+         "cfasym: domain error: alpha = 4000000000000 gives 2000000 roots; "
+         "at most 1000000 are listed\n"),
+    Case("solve --n 22876792454963 --s 0 --alpha 68630377364883", 2,
+         "",
+         "cfasym: domain error: alpha = 68630377364883 gives 9565938 roots; "
+         "at most 1000000 are listed\n"),
     Case("expand 1 1 --parity even", 2,
          "",
          "cfasym: domain error: 1/1 has only the odd-length representation [1]\n"),

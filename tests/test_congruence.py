@@ -1,3 +1,4 @@
+import tracemalloc
 from math import gcd
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from cfasym import congruence
 from cfasym.cf import representations
-from cfasym.congruence import (ALPHA_MAX, EXCEPTIONAL_N_MAX, CongruenceSpec, FoldedForm,
+from cfasym.congruence import (ALPHA_MAX, EXCEPTIONAL_N_MAX, ROOTS_MAX, CongruenceSpec, FoldedForm,
                                FoldedParams, _divisors, candidate_pairs, exceptional_candidates,
                                folded_expand_classify, folded_normalize, main_theorem_specs,
                                solve_quadratic, true_exceptions)
@@ -87,6 +88,31 @@ def test_solve_many_roots_at_a_large_cube():
     roots = solve_quadratic(CongruenceSpec(2 + alpha, 0), alpha)
     assert len(roots) == p and roots == sorted(set(roots))
     assert all(0 < b < alpha and (b * b + (2 + alpha) * b + 1) % alpha == 0 for b in roots)
+
+
+def test_solve_lists_at_most_roots_max():
+    # Delta = 0 at a square modulus m^2: the roots are -1 (mod m), m of them
+    assert ROOTS_MAX == 10**6
+    roots = solve_quadratic(CongruenceSpec(2, 0), 10**12)
+    assert len(roots) == ROOTS_MAX
+    assert roots[:2] == [10**6 - 1, 2 * 10**6 - 1] and roots[-1] == 10**12 - 1
+
+
+@pytest.mark.parametrize("spec, alpha, count", [
+    (CongruenceSpec(2, 0), 4 * 10**12, 2_000_000),
+    # Delta = 3^28 * (3^28 + 4): two classes mod 3^15, so 2 * 3^14 roots
+    (CongruenceSpec(2 + 3**28, 0), 3**29, 9_565_938),
+])
+def test_solve_refuses_too_many_roots_before_listing_any(spec, alpha, count):
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=rf"^alpha = {alpha} gives {count} roots; "
+                                              rf"at most {ROOTS_MAX} are listed$"):
+            solve_quadratic(spec, alpha)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_exceptional_candidates_examples():

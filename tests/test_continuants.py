@@ -1,8 +1,10 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cfasym.continuants import (FIB_MAX, anticontinuant, anticontinuant_range, continuant,
+from cfasym.continuants import (FIB_MAX, _ends, anticontinuant, anticontinuant_range, continuant,
                                 continuant_range, euler_residual, fibonacci)
 from cfasym.errors import DomainError
 
@@ -41,6 +43,19 @@ def test_continuant_range_rejects_bad_indices():
         continuant_range(q, 3, 0)
     with pytest.raises(DomainError):
         continuant((1, 0, 2))
+
+
+def test_ends_match_the_four_ranges():
+    # K(q), K(q[1:]), K(q[:-1]) and K(q[1:-1]) in one pass, from the seeds of
+    # the empty and the one-entry sequence
+    assert _ends(()) == (1, 0, 0, 1)
+    for e in (1, 2, 7):
+        assert _ends((e,)) == (e, 1, 1, 0)
+    for length in range(1, 7):
+        for q in product((1, 2, 3), repeat=length):
+            s = len(q)
+            assert _ends(q) == (continuant_range(q, 0, s - 1), continuant_range(q, 1, s - 1),
+                                continuant_range(q, 0, s - 2), continuant_range(q, 1, s - 2))
 
 
 def test_anticontinuant_examples():
