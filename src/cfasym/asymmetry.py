@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Literal, NamedTuple, Optional
 
-from .continuants import _check_entries, _ends, fibonacci
+from .continuants import _check_entries, _ends
 from .errors import DomainError, is_int
 
 Sigma = Literal["even", "odd"]
@@ -136,6 +136,9 @@ def decompose(q) -> AsymmetryDecomposition:
 
 def compose(dec: AsymmetryDecomposition) -> tuple[int, ...]:
     """Rebuild the sequence from a decomposition; inverse of `decompose`."""
+    if not (is_int(dec.depth) and is_int(dec.c) and (dec.pivot is None or is_int(dec.pivot))):
+        raise DomainError(f"depth, c and pivot must be integers, got {dec.depth!r}, "
+                          f"{dec.c!r} and {dec.pivot!r}")
     outer = tuple(dec.outer)
     core = tuple(dec.core)
     _check_entries(outer)
@@ -181,7 +184,7 @@ def type_value(t: ExtendedAsymmetryType) -> int:
 
 
 def _sigma_even_value(c: int, core: tuple[int, ...]) -> int:
-    """c * K(core) - A(core), unchecked: the inner loop of `enumerate_types`."""
+    """c * K(core) - A(core), unchecked: the value `type_value` gives at sigma even."""
     k, kt, kh, _ = _ends(core)
     return c * k - (kh - kt)
 
@@ -193,31 +196,36 @@ def _sigma_even_pairs(bound: int) -> dict[int, list[tuple[int, tuple[int, ...]]]
     marginal, and outside the value-2 parametric families every core entry
     divides into a positively weighted term of the value, so entries are
     capped by the value.  So the cores of sigma-even value at most `bound`
-    hold the types of every value up to it, and one walk keeps each core
-    under its value.  The sigma-even value is monotone nondecreasing in
-    every entry, so a prefix whose all-ones completion already exceeds the
-    bound is dead.  The family cores (1; p,1) are left to `_catalog`.
+    hold the types of every value up to it.  The value grows with c by
+    exactly K(core), so one walk per core length lambda, at c = 1, finds
+    every core: a full core of value v at c = 1 holds the types (c, core)
+    of value v + (c - 1) * K(core) for every c that keeps it under the
+    bound.  The sigma-even value is monotone nondecreasing in every entry,
+    so a prefix whose all-ones completion already exceeds the bound at
+    c = 1 is dead at every c; the all-ones core of length lambda has the
+    value F_{lambda+1}, so the same test ends the lengths.  The empty core
+    (lambda = 0) has the value c.  The family cores (1; p,1) are left to
+    `_catalog`; their c >= 2 types are listed.
     """
     pairs: dict[int, list[tuple[int, tuple[int, ...]]]] = {v: [] for v in range(1, bound + 1)}
 
-    def walk(c: int, lam: int, prefix: tuple[int, ...]) -> None:
-        for entry in range(1, bound + 1):
-            grown = prefix + (entry,)
-            left = lam - len(grown)
-            value = _sigma_even_value(c, grown + (1,) * left)
-            if value > bound:
-                break
-            if left:
-                walk(c, lam, grown)
-            elif c != 1 or grown[1:] != (1,):  # (1; p,1) stays a family of value 2
-                pairs[value].append((c, grown))
+    def walk(lam: int, prefix: tuple[int, ...]) -> bool:
+        """Record the cores of length lam under prefix; False if the prefix is dead."""
+        k, kt, kh, _ = _ends(prefix + (1,) * (lam - len(prefix)))
+        value = k - (kh - kt)  # at c = 1, the least over c
+        if value > bound:
+            return False
+        if len(prefix) < lam:
+            for entry in range(1, bound + 1):
+                if not walk(lam, prefix + (entry,)):
+                    break
+        else:  # (1; p,1) stays a family of value 2, so its marginals start at 2
+            for c in range(1 + (prefix[1:] == (1,)), (bound - value) // k + 2):
+                pairs[value + (c - 1) * k].append((c, prefix))
+        return True
 
-    for c in range(1, bound + 1):
-        pairs[c].append((c, ()))  # the empty core has the value c
-    lam = 1
-    while fibonacci(lam + 1) <= bound:
-        for c in range(1, bound // fibonacci(lam + 1) + 1):
-            walk(c, lam, ())
+    lam = 0
+    while walk(lam, ()):
         lam += 1
     return pairs
 

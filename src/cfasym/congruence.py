@@ -337,8 +337,6 @@ def true_exceptions(spec: CongruenceSpec, include_negated: bool = True) -> list[
 def folded_normalize(p: FoldedParams) -> FoldedParams:
     """Move gcd(a, n)^2 into b; idempotent, preserves alpha and b*a*n."""
     d = gcd(p.a, p.n)
-    if d == 1:
-        return p
     return FoldedParams(p.b * d * d, p.n // d, p.a // d, p.epsilon)
 
 

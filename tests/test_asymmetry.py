@@ -57,6 +57,18 @@ def test_compose_rejections():
         compose(AsymmetryDecomposition(0, 2, (), None, ()))  # missing pivot
 
 
+@pytest.mark.parametrize("dec", [
+    AsymmetryDecomposition(0, 1.5, (), 1, ()),  # once (2.5, 1)
+    AsymmetryDecomposition(0, 1, (), 1.5, ()),  # once (2.5, 1.5)
+    AsymmetryDecomposition(0, True, (), 1, ()),
+    AsymmetryDecomposition(False, 1, (), 1, ()),
+    AsymmetryDecomposition(0, "1", (), 1, ()),  # once a TypeError
+])
+def test_compose_refuses_non_integer_fields(dec):
+    with pytest.raises(DomainError, match="depth, c and pivot must be integers"):
+        compose(dec)
+
+
 def test_type_value_examples():
     assert type_value(ExtendedAsymmetryType(1, (1, 2), "even")) == 4
     assert anticontinuant((2, 1, 2, 1)) == 4
