@@ -251,14 +251,7 @@ def _cmd_table(args) -> _Result:
     return _Result(doc.to_text().rstrip("\n"), as_plain(doc), (doc.columns, doc.csv_rows()))
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="cfasym",
-                     description="Exact continued-fraction asymmetry toolkit")
-    parser.add_argument("--format", choices=_FORMATS, default=None,
-                        help="output format (default: $CFASYM_FORMAT or text)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("expand", help="expand alpha/beta into quotients")
+def _expand_arguments(p) -> None:
     p.add_argument("alpha", type=int, nargs="?")
     p.add_argument("beta", type=int, nargs="?")
     p.add_argument("--parity", choices=("conv", "even", "odd"))
@@ -266,48 +259,51 @@ def build_parser() -> _Parser:
                    help="predict the selected length parity from the inverse of beta")
     p.add_argument("--from-quotients", metavar="SEQ",
                    help="evaluate a quotient sequence back to alpha/beta")
-    p.set_defaults(func=_cmd_expand)
 
-    p = sub.add_parser("continuant", help="continuant of a sequence or range")
+
+def _continuant_arguments(p) -> None:
     p.add_argument("sequence", nargs="?")
     p.add_argument("--i", type=int)
     p.add_argument("--j", type=int)
     p.add_argument("--fib", type=int, help="return the k-th Fibonacci number")
     p.add_argument("--euler", metavar="K,L,M,N",
                    help="residual of the continuant product identity")
-    p.set_defaults(func=_cmd_continuant)
 
-    p = sub.add_parser("anticont", help="anticontinuant of a sequence or range")
+
+def _anticont_arguments(p) -> None:
     p.add_argument("sequence")
     p.add_argument("--i", type=int, default=0)
     p.add_argument("--j", type=int)
-    p.set_defaults(func=_cmd_anticont)
 
-    p = sub.add_parser("type", help="decompose a sequence, or compose/value a type")
+
+def _type_arguments(p) -> None:
     p.add_argument("sequence", nargs="?")
     p.add_argument("--marginal", type=int)
     p.add_argument("--core")
     p.add_argument("--sigma", choices=("even", "odd"))
     p.add_argument("--pivot", type=int)
     p.add_argument("--outer")
-    p.set_defaults(func=_cmd_type)
 
-    p = sub.add_parser("enumerate", help="all extended types achieving a value")
+
+def _enumerate_arguments(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
     p.add_argument("--coarse", action="store_true",
                    help="print the sigma-even slice without sigma")
-    p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("solve", help="roots of x^2 + nx + (-1)^s mod alpha")
+
+def _spec_arguments(p) -> None:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--s", type=int, choices=(0, 1), required=True)
+
+
+def _solve_arguments(p) -> None:
+    _spec_arguments(p)
     p.add_argument("--alpha", type=int, required=True)
-    p.set_defaults(func=_cmd_solve)
 
-    p = sub.add_parser("exceptional", help="certified exceptional moduli and pairs")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, choices=(0, 1), required=True)
+
+def _exceptional_arguments(p) -> None:
+    _spec_arguments(p)
     p.add_argument("--pairs", action="store_true",
                    help="solved pairs over the exceptional moduli")
     p.add_argument("--true-exceptions", action="store_true",
@@ -315,26 +311,24 @@ def build_parser() -> _Parser:
     p.add_argument("--single-sign", action="store_true",
                    help="use only the given sign of n, not both")
     p.add_argument("--certificates", action="store_true")
-    p.set_defaults(func=_cmd_exceptional)
 
-    p = sub.add_parser("folded", help="normalize and classify b*n^2/(b*a*n - eps)")
+
+def _folded_arguments(p) -> None:
     p.add_argument("--b", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--eps", type=int, choices=(1, -1), default=1)
     p.add_argument("--normalize-only", action="store_true")
-    p.set_defaults(func=_cmd_folded)
 
-    p = sub.add_parser("verify", help="run a verification sweep")
-    p.set_defaults(func=_cmd_verify)
+
+def _verify_arguments(p) -> None:
     vsub = p.add_subparsers(dest="suite", required=True)
     pi = vsub.add_parser("identities", help="identity sweep over coprime pairs")
     pi.add_argument("--alpha-max", type=int, default=500)
     pi.add_argument("--trials", type=int, default=10000)
     pi.add_argument("--seed", type=int, default=0)
     pm = vsub.add_parser("main", help="roots versus typed expansions per modulus")
-    pm.add_argument("--n", type=int, required=True)
-    pm.add_argument("--s", type=int, choices=(0, 1), required=True)
+    _spec_arguments(pm)
     pm.add_argument("--alpha-max", type=int, default=2000)
     pm.add_argument("--mode", choices=("refined", "coarse"), default="refined")
     pe = vsub.add_parser("enumeration", help="type catalog versus every bounded sequence")
@@ -342,10 +336,47 @@ def build_parser() -> _Parser:
     pe.add_argument("--max-entry", type=int, default=8)
     pe.add_argument("--value-bound", type=int, default=8)
 
-    p = sub.add_parser("table", help="types and true exceptions for values 1..n_max")
-    p.add_argument("--n-max", type=int, default=6)
-    p.set_defaults(func=_cmd_table)
 
+def _table_arguments(p) -> None:
+    p.add_argument("--n-max", type=int, default=6)
+
+
+_COMMANDS = {  # name: (help, handler, adds its arguments)
+    "expand": ("expand alpha/beta into quotients", _cmd_expand, _expand_arguments),
+    "continuant": ("continuant of a sequence or range", _cmd_continuant,
+                   _continuant_arguments),
+    "anticont": ("anticontinuant of a sequence or range", _cmd_anticont, _anticont_arguments),
+    "type": ("decompose a sequence, or compose/value a type", _cmd_type, _type_arguments),
+    "enumerate": ("all extended types achieving a value", _cmd_enumerate,
+                  _enumerate_arguments),
+    "solve": ("roots of x^2 + nx + (-1)^s mod alpha", _cmd_solve, _solve_arguments),
+    "exceptional": ("certified exceptional moduli and pairs", _cmd_exceptional,
+                    _exceptional_arguments),
+    "folded": ("normalize and classify b*n^2/(b*a*n - eps)", _cmd_folded, _folded_arguments),
+    "verify": ("run a verification sweep", _cmd_verify, _verify_arguments),
+    "table": ("types and true exceptions for values 1..n_max", _cmd_table, _table_arguments),
+}
+
+
+def build_parser(argv=None) -> _Parser:
+    """The cfasym parser; given argv, only the subcommand it names gets its arguments.
+
+    Every subcommand is registered with its name and help either way, so
+    usage, --help and a bad choice read the same.  The named subcommand is
+    the first token of argv that is a command name; with none, no
+    subcommand gets arguments, and with argv None every one does.
+    """
+    parser = _Parser(prog="cfasym",
+                     description="Exact continued-fraction asymmetry toolkit")
+    parser.add_argument("--format", choices=_FORMATS, default=None,
+                        help="output format (default: $CFASYM_FORMAT or text)")
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = None if argv is None else next((t for t in argv if t in _COMMANDS), None)
+    for name, (summary, handler, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=handler)
+        if argv is None or name == named:
+            add_arguments(p)
     return parser
 
 
@@ -364,7 +395,8 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

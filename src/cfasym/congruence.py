@@ -5,6 +5,13 @@ by CRT), the finite set of moduli where the length-parity conclusion can
 fail, the pairs among those moduli whose expansions never reach the target
 anticontinuant, and the n = +-2 family of fractions b*n^2 / (b*a*n - eps)
 with its three quotient patterns.
+
+The root side needs no continued fractions, so `asymmetry` and `cf` are
+read as modules at call time, not imported by name: the package registers
+them lazily, and a name import would run them, and with them `continuants`,
+whenever this module runs.  `solve_quadratic`, `exceptional_candidates`,
+`candidate_pairs` and `true_exceptions` thus run only this module and
+`errors`; the folded operations and `main_theorem_specs` run what they read.
 """
 
 from __future__ import annotations
@@ -13,8 +20,7 @@ from itertools import accumulate, chain, cycle
 from math import gcd
 from typing import Literal, NamedTuple, Optional
 
-from .asymmetry import TARGET_MAX, decompose
-from .cf import representations
+from . import asymmetry, cf
 from .errors import DomainError, FoldedFormError, is_int
 
 Condition = Literal["small_alpha", "gamma_condition", "eta_condition"]
@@ -295,8 +301,8 @@ def main_theorem_specs(n_max: int) -> list[CongruenceSpec]:
     """
     if not is_int(n_max) or n_max < 1:
         raise DomainError(f"n_max must be a positive integer, got {n_max!r}")
-    if n_max > TARGET_MAX:
-        raise DomainError(f"n_max must be at most {TARGET_MAX}, got {n_max}")
+    if n_max > asymmetry.TARGET_MAX:
+        raise DomainError(f"n_max must be at most {asymmetry.TARGET_MAX}, got {n_max}")
     return [CongruenceSpec(sign * a, s) for a in range(1, n_max + 1) for sign in (1, -1)
             for s in (0, 1) if (a, s) != (2, 0)]
 
@@ -341,7 +347,7 @@ def folded_normalize(p: FoldedParams) -> FoldedParams:
 
 
 def _match_form(q: tuple[int, ...]) -> Optional[FoldedForm]:
-    dec = decompose(q)
+    dec = asymmetry.decompose(q)
     if dec.c == 0:
         return None
     displayed, core = q[dec.depth], dec.core
@@ -370,7 +376,7 @@ def folded_expand_classify(p: FoldedParams) -> tuple[tuple[int, ...], FoldedForm
     alpha, beta = p.alpha, p.beta
     if not 1 <= beta < alpha:
         raise DomainError(f"denominator {beta} outside (0, {alpha})")
-    reps = representations(alpha, beta)  # the selected expansion first
+    reps = cf.representations(alpha, beta)  # the selected expansion first
     seq = reps[0]
     for cand in reps:
         match = _match_form(cand)

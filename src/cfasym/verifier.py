@@ -164,8 +164,8 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
     """
     if mode not in ("refined", "coarse"):
         raise DomainError(f"mode must be 'refined' or 'coarse', got {mode!r}")
-    if not is_int(alpha_max) or alpha_max < 1:
-        raise DomainError(f"alpha_max must be a positive integer, got {alpha_max!r}")
+    if not is_int(alpha_max) or alpha_max < 2:  # the sweep starts at alpha = 2
+        raise DomainError(f"alpha_max must be an integer >= 2, got {alpha_max!r}")
     if abs(spec.n) > TARGET_MAX:  # enumerate_types' refusal, before the certified set
         raise DomainError(f"target must be at most {TARGET_MAX} in absolute value, got {spec.n}")
     candidates = exceptional_candidates(spec)  # also validates (n, s)

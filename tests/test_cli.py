@@ -151,11 +151,45 @@ def test_usage_error_exit_1(capsys):
     assert run(capsys, "expand", "25", "x")[0] == 1
 
 
+_COMMAND_NAMES = ["expand", "continuant", "anticont", "type", "enumerate", "solve",
+                  "exceptional", "folded", "verify", "table"]
+
+
+@pytest.mark.parametrize("argv", [
+    "--help", "", *(f"{name} --help" for name in _COMMAND_NAMES),
+    "verify main --help", "verify identities --help", "verify enumeration --help", "verify",
+    "bogus", "bogus solve", "--format xml solve --n 3 --s 1 --alpha 7",
+    "--format=json solve --n 3 --s 1 --alpha 7", "solve --n 3 --s 1", "expand 25 x",
+])
+def test_the_one_command_parser_reads_as_the_full_one(capsys, monkeypatch, argv):
+    # a start adds arguments to the subcommand argv names only; usage, help
+    # and errors must keep their bytes, so compare with every one's added
+    monkeypatch.setenv("COLUMNS", "80")
+    one_command = run(capsys, *argv.split())
+    full = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda argv: full())
+    assert run(capsys, *argv.split()) == one_command
+
+
+def test_a_start_builds_only_the_named_subcommands_arguments(capsys):
+    argv = ["expand", "355", "113"]
+    assert cli.build_parser(argv).parse_args(argv).alpha == 355
+    for other in (["solve"], [], ["--format", "json"]):
+        with pytest.raises(SystemExit):
+            cli.build_parser(other).parse_args(argv)
+        assert capsys.readouterr().err.endswith("error: unrecognized arguments: 355 113\n")
+
+
 def test_domain_error_exit_2(capsys):
     code, _, err = run(capsys, "expand", "10", "4")
     assert code == 2 and "domain error" in err
     code, _, err = run(capsys, "exceptional", "--n", "2", "--s", "0")
     assert code == 2
+    # the main sweep starts at alpha = 2: a bound of 1 would be an empty sweep read as clean
+    code, out, err = run(capsys, "--format", "json", "verify", "main", "--n", "3", "--s", "1",
+                         "--alpha-max", "1")
+    assert (code, out) == (2, "")
+    assert err == "cfasym: domain error: alpha_max must be an integer >= 2, got 1\n"
 
 
 def test_violation_exit_3(capsys, monkeypatch):
@@ -376,6 +410,7 @@ print(code, *sorted(ran), file=sys.stderr)
 _START = {"cli", "errors"}
 _EXPANSION = _START | {"cf", "continuants"}
 _TYPED = _START | {"asymmetry", "continuants"}
+_ROOTS = _START | {"congruence"}  # the root side reads no continued fraction
 _SOLVED = _TYPED | {"cf", "congruence"}
 
 
@@ -387,12 +422,15 @@ _SOLVED = _TYPED | {"cf", "congruence"}
     ("anticont 3,1,1,3", _START | {"continuants"}),
     ("type 2,1,2,1", _TYPED),
     ("enumerate --n 3", _TYPED),
-    ("solve --n 3 --s 1 --alpha 654321", _SOLVED),
-    ("--format csv solve --n 3 --s 1 --alpha 654321", _SOLVED),
+    ("solve --n 3 --s 1 --alpha 654321", _ROOTS),
+    ("--format csv solve --n 3 --s 1 --alpha 654321", _ROOTS),
     ("--format json folded --b 2 --n 2 --a 1", _SOLVED),
-    ("exceptional --n 3 --s 1 --certificates", _SOLVED),
+    ("exceptional --n 3 --s 1 --certificates", _ROOTS),
     ("verify main --n 4 --s 0 --alpha-max 30", _SOLVED | {"verifier"}),
     ("table --n-max 2", _SOLVED | {"verifier"}),
+    ("--format json solve --n 3 --s 1 --alpha 654321", _ROOTS),
+    ("exceptional --n 3 --s 1 --pairs", _ROOTS),
+    ("exceptional --n 3 --s 1 --true-exceptions", _ROOTS),
 ])
 def test_subcommand_runs_only_the_modules_it_reads(argv, ran):
     # -S as above; the scanner, exhaustive, runs only under verify enumeration

@@ -58,3 +58,18 @@ def test_an_unknown_name_raises_attribute_error(name):
     assert getattr(cfasym, name, None) is None
     with pytest.raises(AttributeError, match=f"module 'cfasym' has no attribute '{name}'"):
         getattr(cfasym, name)
+
+
+def test_the_root_side_runs_only_errors_and_congruence():
+    # the roots and the certified moduli need no continued fraction, so
+    # asymmetry, cf and continuants stay LazyLoader stubs through all four
+    out = run_fresh("import sys, types\n"
+                    "from cfasym import congruence\n"
+                    "spec = congruence.CongruenceSpec(3, 1)\n"
+                    "congruence.solve_quadratic(spec, 654321)\n"
+                    "congruence.exceptional_candidates(spec)\n"
+                    "congruence.candidate_pairs(spec)\n"
+                    "congruence.true_exceptions(spec)\n"
+                    "print(sorted(n for n, m in sys.modules.items()\n"
+                    "             if n.startswith('cfasym.') and type(m) is types.ModuleType))")
+    assert out == "['cfasym.congruence', 'cfasym.errors']\n"

@@ -36,3 +36,18 @@ def test_a_failing_given_test_does_not_end_the_run(tmp_path):
     assert "INTERNALERROR" not in done.stdout + done.stderr
     assert done.returncode == 1
     assert "1 failed, 1 passed" in done.stdout.splitlines()[-1]
+
+
+def test_a_run_under_python_o_starts(tmp_path):
+    # -O strips asserts, and pytest warns at start-up that it cannot rewrite
+    # those outside test modules; with filterwarnings = ["error"] alone that
+    # warning ends the run before the first test
+    test_file = tmp_path / "test_passes.py"
+    test_file.write_text("def test_passes():\n    pass\n")
+    done = subprocess.run(
+        [sys.executable, "-O", "-m", "pytest", "-q", "-c", str(ROOT / "pyproject.toml"),
+         "-p", "no:cacheprovider", str(test_file)],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert "1 passed" in done.stdout.splitlines()[-1]

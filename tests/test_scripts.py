@@ -157,7 +157,7 @@ def test_run_verification_script_reports_violations(capsys, monkeypatch, tmp_pat
 
 
 @pytest.mark.parametrize("flag, value", [("--n-max", "129"), ("--n-max", "0"),
-                                         ("--alpha-max", "0"),
+                                         ("--alpha-max", "0"), ("--alpha-max", "1"),
                                          ("--identities-alpha-max", "1"), ("--trials", "-1")])
 def test_run_verification_script_refuses_a_bound_with_the_domain_exit(tmp_path, flag, value):
     # one line and the domain exit, not a traceback, and no --out: the

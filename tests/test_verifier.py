@@ -154,9 +154,10 @@ def test_main_theorem_refuses_a_large_n_before_the_certified_set(monkeypatch):
             verify_main_theorem(CongruenceSpec(n, 1), 10)
 
 
-@pytest.mark.parametrize("alpha_max", [0, -3, 2.5])
+@pytest.mark.parametrize("alpha_max", [0, 1, -3, 2.5])
 def test_main_theorem_rejects_bad_alpha_max(alpha_max):
-    with pytest.raises(DomainError, match="alpha_max"):
+    # the sweep starts at alpha = 2: a bound of 1 would be an empty sweep reported as clean
+    with pytest.raises(DomainError, match=f"alpha_max must be an integer >= 2, got {alpha_max}$"):
         verify_main_theorem(CongruenceSpec(1, 0), alpha_max)
 
 
