@@ -1,6 +1,6 @@
 """Exact-integer continued fractions, continuants, asymmetry types, and congruences.
 
-`import cfasym` runs none of the six submodules below. It registers each one
+`import cfasym` runs none of the seven submodules below. It registers each one
 in `sys.modules` and on the package through `importlib.util.LazyLoader`, and
 a submodule runs the first time one of its attributes is read, on it or
 through a name the package exports. So a CLI start compiles only the modules
@@ -22,12 +22,13 @@ _EXPORTS = {
     "asymmetry": ("AsymmetryDecomposition", "ExtendedAsymmetryType", "ParametricFamily",
                   "TypeCatalog", "compose", "decompose", "enumerate_types",
                   "extended_type", "type_value"),
+    "exhaustive": ("verify_enumeration",),
     "congruence": ("CongruenceSpec", "ExceptionalCertificate", "FoldedForm", "FoldedParams",
                    "candidate_pairs", "exceptional_candidates", "folded_expand_classify",
                    "folded_normalize", "main_theorem_specs", "solve_quadratic",
                    "true_exceptions"),
-    "verifier": ("TableDocument", "VerificationReport", "build_table",
-                 "verify_enumeration", "verify_identities", "verify_main_theorem"),
+    "verifier": ("TableDocument", "VerificationReport", "build_table", "verify_identities",
+                 "verify_main_theorem"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

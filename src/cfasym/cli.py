@@ -14,7 +14,7 @@ import os
 import sys
 from typing import NamedTuple
 
-from . import asymmetry, cf, congruence, continuants, verifier
+from . import asymmetry, cf, congruence, continuants, exhaustive, verifier
 from .errors import DomainError, as_plain, render_csv
 
 USAGE_EXIT = 1
@@ -220,7 +220,7 @@ def _cmd_folded(args) -> _Result:
 
 def _cmd_verify(args) -> _Result:
     if args.suite == "enumeration":
-        report = verifier.verify_enumeration(args.max_len, args.max_entry, args.value_bound)
+        report = exhaustive.verify_enumeration(args.max_len, args.max_entry, args.value_bound)
         head = f"hits={report.hits} types={report.types}"
     else:
         if args.suite == "identities":

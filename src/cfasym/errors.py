@@ -1,9 +1,35 @@
+from __future__ import annotations
+
+from typing import NamedTuple, Optional
+
+
 class DomainError(ValueError):
     """An input violates an operation's domain contract."""
 
 
 class FoldedFormError(DomainError):
     """A quotient sequence failed to match any of the folded quotient patterns."""
+
+
+class ViolationRecord(NamedTuple):
+    """One failed check of a sweep; a check with no modulus leaves alpha and beta None."""
+
+    alpha: Optional[int]
+    beta: Optional[int]
+    expansion: Optional[tuple[int, ...]]
+    kind: str
+
+
+# `ok` and `to_json` of both report classes, the verifier's and the enumeration check's
+@property
+def report_ok(report) -> bool:
+    return not report.violations
+
+
+def report_to_json(report) -> str:
+    import json  # kept out of CLI start-up, like random
+
+    return json.dumps(report.to_dict(), sort_keys=True)
 
 
 def is_int(value) -> bool:

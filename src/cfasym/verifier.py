@@ -1,17 +1,21 @@
 """Sweep verification of the root/expansion correspondence and table building.
 
-Three checks are provided.  `verify_identities` exhaustively rechecks, over
-all coprime pairs up to a bound, the congruence satisfied by both
-representations, the half bound on the selected representation, and the
-parity predictor, plus seeded random checks of the continuant product
+Two sweeps and the table are provided.  `verify_identities` exhaustively
+rechecks, over all coprime pairs up to a bound, the congruence satisfied by
+both representations, the half bound on the selected representation, and
+the parity predictor, plus seeded random checks of the continuant product
 identity and reversal antisymmetry.  `verify_main_theorem` compares, modulus
 by modulus, the roots of x^2 + nx + (-1)^s with the denominators of the
 selected expansions that carry a type of value n and length parity s,
-composed from the type catalog; the finitely many certified moduli are
-excluded and reported.
-`verify_enumeration` checks the type catalog against every bounded quotient
-sequence with a small nonzero anticontinuant.  Reports are plain data with
-stable ordering, so equal inputs give byte-identical serializations.
+composed from the type catalog (`_typed_pairs`); the finitely many certified
+moduli are excluded and reported.  `build_table` lists each value's printable
+types and true exceptions.  Reports are plain data with stable ordering, so
+equal inputs give byte-identical serializations.  The third check,
+`verify_enumeration`, lives beside its scanner in `exhaustive`.
+
+`cf` and `congruence` are read as modules at call time, as `congruence`
+reads `asymmetry`: the package registers them lazily, so `verify_identities`
+runs no `congruence` and `build_table` no `cf`.
 """
 
 from __future__ import annotations
@@ -19,22 +23,14 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
+from . import cf, congruence
 from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, _catalog, _sigma_even_pairs,
-                        decompose, enumerate_types, extended_type, type_value)
-from .cf import alternate_expansion, expand, parity_by_inverse
-from .congruence import (CongruenceSpec, ExceptionalCertificate, exceptional_candidates,
-                         main_theorem_specs, solve_quadratic, true_exceptions)
+                        decompose, enumerate_types)
 from .continuants import _check_entries, _ends, anticontinuant, euler_residual
-from .errors import DomainError, as_plain, is_int, render_csv
+from .errors import (DomainError, ViolationRecord, as_plain, is_int, render_csv, report_ok,
+                     report_to_json)
 
 Mode = Literal["refined", "coarse"]
-
-
-class ViolationRecord(NamedTuple):
-    alpha: Optional[int]
-    beta: Optional[int]
-    expansion: Optional[tuple[int, ...]]
-    kind: str
 
 
 class CoarseCounterexample(NamedTuple):
@@ -47,7 +43,7 @@ class CoarseCounterexample(NamedTuple):
 
 class ExcludedModulus(NamedTuple):
     modulus: int
-    certificates: tuple[ExceptionalCertificate, ...]
+    certificates: tuple[congruence.ExceptionalCertificate, ...]
 
 
 class VerificationReport(NamedTuple):
@@ -67,10 +63,8 @@ class VerificationReport(NamedTuple):
     excluded: tuple[ExcludedModulus, ...] = ()
     coarse_counterexamples: tuple[CoarseCounterexample, ...] = ()
     necessary_exclusions: tuple[int, ...] = ()
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    ok = report_ok
+    to_json = report_to_json
 
     def to_dict(self) -> dict:
         """The fields of this report's kind plus `ok`; tuples serialize as JSON arrays."""
@@ -81,11 +75,6 @@ class VerificationReport(NamedTuple):
                      "necessary_exclusions")
         out = {k: v for k, v in as_plain(self).items() if k not in other}
         return {**out, "ok": self.ok}
-
-    def to_json(self) -> str:
-        import json  # kept out of CLI start-up, like random
-
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> VerificationReport:
@@ -110,15 +99,15 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
             if gcd(alpha, beta) != 1:
                 continue
             checked += 1
-            conv = expand(alpha, beta)
-            for q in (conv, alternate_expansion(conv)):
+            conv = cf.expand(alpha, beta)
+            for q in (conv, cf.alternate_expansion(conv)):
                 a_val = anticontinuant(q)
                 unit = -1 if len(q) % 2 else 1
                 if (beta * beta + a_val * beta + unit) % alpha != 0:
                     violations.append(ViolationRecord(alpha, beta, q, "congruence_identity"))
             if 2 * abs(anticontinuant(conv)) >= alpha:
                 violations.append(ViolationRecord(alpha, beta, conv, "half_bound"))
-            predicted = parity_by_inverse(alpha, beta).predicted_parity
+            predicted = cf.parity_by_inverse(alpha, beta).predicted_parity
             actual = "odd" if len(conv) % 2 else "even"
             if predicted != actual:
                 violations.append(ViolationRecord(alpha, beta, conv, "parity_prediction"))
@@ -145,7 +134,7 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
         violations=tuple(violations), trials=trials, seed=seed)
 
 
-def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
+def verify_main_theorem(spec: congruence.CongruenceSpec, alpha_max: int,
                         mode: Mode = "refined") -> VerificationReport:
     """Compare congruence roots against type-matching expansions for each modulus.
 
@@ -168,7 +157,7 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
         raise DomainError(f"alpha_max must be an integer >= 2, got {alpha_max!r}")
     if abs(spec.n) > TARGET_MAX:  # enumerate_types' refusal, before the certified set
         raise DomainError(f"target must be at most {TARGET_MAX} in absolute value, got {spec.n}")
-    candidates = exceptional_candidates(spec)  # also validates (n, s)
+    candidates = congruence.exceptional_candidates(spec)  # also validates (n, s)
     n, s = spec.n, spec.s
     catalog = enumerate_types(n, "odd" if s else "even")
     typed_of = _typed_pairs(catalog.finite_types, alpha_max)
@@ -186,7 +175,7 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
     matches = 0
 
     for alpha in range(2, alpha_max + 1):
-        roots = set(solve_quadratic(spec, alpha))
+        roots = set(congruence.solve_quadratic(spec, alpha))
         typed = typed_of.get(alpha, set())
         if alpha in candidates:
             if roots != typed:
@@ -197,13 +186,13 @@ def verify_main_theorem(spec: CongruenceSpec, alpha_max: int,
         for kind, betas in (("root_without_type", roots - typed),
                             ("type_without_root", typed - roots)):
             for beta in sorted(betas):
-                violations.append(ViolationRecord(alpha, beta, expand(alpha, beta), kind))
+                violations.append(ViolationRecord(alpha, beta, cf.expand(alpha, beta), kind))
         if mode == "coarse":
             listed = listed_of.get(alpha, set())
             for direction, betas in (("root_without_listed_type", roots - listed),
                                      ("listed_type_without_root", listed - roots)):
                 for beta in sorted(betas):
-                    q = expand(alpha, beta)
+                    q = cf.expand(alpha, beta)
                     dec = decompose(q)
                     c, core = (dec.c, dec.core) if len(q) % 2 == s and dec.c else (0, ())
                     coarse_cex.append(CoarseCounterexample(alpha, beta, c, core, direction))
@@ -262,68 +251,6 @@ def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
     return pairs
 
 
-class EnumerationReport(NamedTuple):
-    """Hits and distinct type instances met; violations empty means the check held."""
-
-    hits: int
-    types: int
-    violations: tuple[ViolationRecord, ...]
-    ok = VerificationReport.ok
-    to_json = VerificationReport.to_json
-
-    def to_dict(self) -> dict:
-        """The fields plus `ok`, as `VerificationReport.to_dict` gives them."""
-        return {**as_plain(self), "ok": self.ok}
-
-
-def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> EnumerationReport:
-    """Check the type catalog against every bounded sequence with a small value.
-
-    Every quotient sequence with length <= max_len, entries in [1, max_entry]
-    and 1 <= |anticontinuant| <= value_bound is met, and each distinct type
-    instance (c, core, sigma, value) must give its value through the type
-    formula and be listed by `enumerate_types(value)`; otherwise it is a
-    "formula_mismatch" or "missing_from_catalog" violation.  The scanner's
-    two-sided blocks give the instances, the hit count and each instance's
-    first hit in scan order directly (see `cfasym.exhaustive`), so no hit
-    is listed: the stock bounds have 609,982 hits but 88 blocks and 352
-    instances.  Each instance is decomposed once, at its first hit, and the
-    instances are checked in the order of those hits.  One search builds
-    the catalogs of every value up to the largest one met, as
-    `enumerate_types` would one at a time.  Bad bounds raise DomainError
-    before that search, and so does a bound that could reach a value beyond
-    TARGET_MAX, whose catalog `enumerate_types` refuses.
-    """
-    # the scanner stays out of CLI start-up
-    from .exhaustive import _checked_bound, _two_sided_blocks, scan_position
-
-    bound = _checked_bound(max_len, max_entry, value_bound)
-    if bound > TARGET_MAX:
-        raise DomainError(f"value_bound must be at most {TARGET_MAX}, got {value_bound}")
-    first = []  # each instance's first hit: (scan position, sequence, value)
-    hits = 0
-    for m, d, v in _two_sided_blocks(max_len, max_entry, bound):
-        depths = range((max_len - len(m)) // 2)  # of the outer layer
-        hits += 2 * (max_entry - d) * sum(max_entry ** depth for depth in depths)
-        for block, value in [((1 + d, *m, 1), v), ((1, *m[::-1], 1 + d), -v)]:
-            for parity in range(min(2, len(depths))):
-                q = min(((1,) * depth + block + (1,) * depth for depth in depths[parity::2]),
-                        key=scan_position)
-                first.append((scan_position(q), q, -value if parity else value))
-    top = max((abs(value) for *_, value in first), default=0)  # often far below bound
-    catalogs = {sign * v: _catalog(sign * v, pairs)
-                for v, pairs in _sigma_even_pairs(top).items() for sign in (1, -1)}
-    violations: list[ViolationRecord] = []
-    for _, q, value in sorted(first):
-        dec = decompose(q)
-        if type_value(extended_type(dec)) != value:
-            violations.append(ViolationRecord(None, None, q, "formula_mismatch"))
-            continue
-        if not catalogs[value].contains(dec.c, dec.core, dec.sigma):
-            violations.append(ViolationRecord(None, None, q, "missing_from_catalog"))
-    return EnumerationReport(hits, len(first), tuple(violations))
-
-
 class TableEntry(NamedTuple):
     """One printable type row: marginal asymmetry and core (or pattern) text."""
 
@@ -375,7 +302,7 @@ def build_table(n_max: int) -> TableDocument:
     rows `main_theorem_specs` lists; the cell of the one row it leaves out,
     the perfect-square (2, even), is empty.
     """
-    covered = set(main_theorem_specs(n_max))  # refuses a bad n_max first
+    covered = set(congruence.main_theorem_specs(n_max))  # refuses a bad n_max first
     rows = []
     for value, pairs in _sigma_even_pairs(n_max).items():
         # one catalog per value, split by core-length parity as enumerate_types does
@@ -387,7 +314,7 @@ def build_table(n_max: int) -> TableDocument:
             keyed += [(f.sort_key(), f.c, f.display_core())
                       for f in catalog.coarse_families() if len(f.pattern) % 2 == parity_bit]
             entries = [TableEntry(c, core) for _, c, core in sorted(keyed)]
-            spec = CongruenceSpec(value, parity_bit)
-            exceptions = tuple(true_exceptions(spec)) if spec in covered else ()
+            spec = congruence.CongruenceSpec(value, parity_bit)
+            exceptions = tuple(congruence.true_exceptions(spec)) if spec in covered else ()
             rows.append(TableRow(value, parity, tuple(entries), exceptions))
     return TableDocument(n_max=n_max, rows=tuple(rows))

@@ -18,8 +18,8 @@ from cfasym.congruence import (CongruenceSpec, FoldedParams, candidate_pairs,
                                exceptional_candidates, folded_expand_classify,
                                main_theorem_specs, true_exceptions)
 from cfasym.continuants import anticontinuant, continuant, fibonacci
-from cfasym.verifier import (build_table, verify_enumeration, verify_identities,
-                             verify_main_theorem)
+from cfasym.exhaustive import verify_enumeration
+from cfasym.verifier import build_table, verify_identities, verify_main_theorem
 
 
 def _report(num, text):

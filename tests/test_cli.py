@@ -386,15 +386,19 @@ def test_verify_text_counts_unprinted_violations(capsys, monkeypatch):
 def test_cli_import_leaves_out_numpy_and_the_scanner():
     # only the enumeration oracle needs the scanner, and with it numpy; the
     # records are NamedTuples, and random and json are imported where used.
-    # -S keeps site's .pth hooks, which can import random at start, out of
-    # the count; site-packages stays on the path so numpy is still findable.
-    unread = {"numpy", "cfasym.exhaustive", "dataclasses", "inspect", "random", "json"}
-    code = f"import sys, cfasym, cfasym.cli; print(sorted({unread!r} & set(sys.modules)))"
+    # The scanner, cfasym.exhaustive, is registered as a LazyLoader stub, so
+    # the check is that it has not run.  -S keeps site's .pth hooks, which can
+    # import random at start, out of the count; site-packages stays on the
+    # path so numpy is still findable.
+    unread = {"numpy", "dataclasses", "inspect", "random", "json"}
+    code = ("import sys, types, cfasym, cfasym.cli\n"
+            f"print(sorted({unread!r} & set(sys.modules)),"
+            " type(sys.modules['cfasym.exhaustive']) is types.ModuleType)")
     path = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
                             sysconfig.get_path("purelib")])
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert done.stdout == "[]\n"
+    assert done.stdout == "[] False\n"
 
 
 # The child prints its exit code and the cfasym modules that have run.  A
@@ -412,6 +416,7 @@ _EXPANSION = _START | {"cf", "continuants"}
 _TYPED = _START | {"asymmetry", "continuants"}
 _ROOTS = _START | {"congruence"}  # the root side reads no continued fraction
 _SOLVED = _TYPED | {"cf", "congruence"}
+_SWEPT = _TYPED | {"congruence", "verifier"}  # cf runs only to expand a violation
 
 
 @pytest.mark.parametrize("argv, ran", [
@@ -426,11 +431,14 @@ _SOLVED = _TYPED | {"cf", "congruence"}
     ("--format csv solve --n 3 --s 1 --alpha 654321", _ROOTS),
     ("--format json folded --b 2 --n 2 --a 1", _SOLVED),
     ("exceptional --n 3 --s 1 --certificates", _ROOTS),
-    ("verify main --n 4 --s 0 --alpha-max 30", _SOLVED | {"verifier"}),
-    ("table --n-max 2", _SOLVED | {"verifier"}),
+    ("verify main --n 4 --s 0 --alpha-max 30", _SWEPT),
+    ("table --n-max 2", _SWEPT),
     ("--format json solve --n 3 --s 1 --alpha 654321", _ROOTS),
     ("exceptional --n 3 --s 1 --pairs", _ROOTS),
     ("exceptional --n 3 --s 1 --true-exceptions", _ROOTS),
+    ("verify enumeration --max-len 6 --max-entry 4 --value-bound 6", _TYPED | {"exhaustive"}),
+    ("verify identities --alpha-max 20 --trials 5",
+     _START | {"verifier", "asymmetry", "cf", "continuants"}),
 ])
 def test_subcommand_runs_only_the_modules_it_reads(argv, ran):
     # -S as above; the scanner, exhaustive, runs only under verify enumeration

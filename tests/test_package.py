@@ -9,17 +9,19 @@ import pytest
 
 import cfasym
 
-SUBMODULES = ["asymmetry", "cf", "congruence", "continuants", "errors", "verifier"]
+SUBMODULES = ["asymmetry", "cf", "congruence", "continuants", "errors", "exhaustive",
+              "verifier"]
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_fresh(code: str) -> str:
-    src = str(Path(__file__).resolve().parents[1] / "src")
+    src = str(ROOT / "src")
     return subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": src}, check=True).stdout
 
 
 def test_import_registers_every_submodule_and_runs_none():
-    # a tracer that wraps the cfasym.* modules in sys.modules finds all six
+    # a tracer that wraps the cfasym.* modules in sys.modules finds all seven
     # right after `import cfasym`; a module that has not run is a LazyLoader
     # stub, not a plain module
     out = run_fresh("import sys, types, cfasym\n"
@@ -73,3 +75,18 @@ def test_the_root_side_runs_only_errors_and_congruence():
                     "print(sorted(n for n, m in sys.modules.items()\n"
                     "             if n.startswith('cfasym.') and type(m) is types.ModuleType))")
     assert out == "['cfasym.congruence', 'cfasym.errors']\n"
+
+
+def test_the_enumeration_script_runs_only_the_scanner_and_the_type_theory():
+    # the benchmark's path: the check lives beside its scanner, which reads
+    # asymmetry at call time, so neither the verifier nor the root finder runs
+    script = ROOT / "scripts" / "scan_enumeration.py"
+    out = run_fresh("import runpy, sys, types\n"
+                    f"sys.argv = [{str(script)!r}, '--max-len', '6', '--max-entry', '4',"
+                    " '--value-bound', '6']\n"
+                    "code = runpy.run_path(sys.argv[0], run_name='scan_enumeration')['main']()\n"
+                    "print(code, sorted(n for n, m in sys.modules.items()\n"
+                    "                   if n.startswith('cfasym.') and type(m) is types.ModuleType))")
+    assert out.splitlines()[1:] == ["enumeration complete: no misses",
+                                    "0 ['cfasym.asymmetry', 'cfasym.continuants', "
+                                    "'cfasym.errors', 'cfasym.exhaustive']"]

@@ -9,7 +9,8 @@ import pytest
 
 from cfasym import cli
 from cfasym.cli import DOMAIN_EXIT
-from cfasym.verifier import build_table, verify_enumeration, verify_identities
+from cfasym.exhaustive import verify_enumeration
+from cfasym.verifier import build_table, verify_identities
 from scanning import scan_small_anticontinuants, scan_small_anticontinuants_reference
 
 ROOT = Path(__file__).resolve().parents[1]

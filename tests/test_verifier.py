@@ -5,16 +5,16 @@ from math import gcd
 
 import pytest
 
-from cfasym import asymmetry, verifier
+from cfasym import asymmetry, cf, congruence, verifier
 from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
                               extended_type, type_value)
 from cfasym.cf import evaluate, expand, parity_by_inverse
 from cfasym.congruence import (CongruenceSpec, ExceptionalCertificate, FoldedParams,
                                main_theorem_specs, solve_quadratic)
-from cfasym.errors import DomainError
-from cfasym.exhaustive import _checked_bound, _two_sided_blocks, scan_position
-from cfasym.verifier import (EnumerationReport, ViolationRecord, _typed_pairs, build_table,
-                             verify_enumeration, verify_identities, verify_main_theorem)
+from cfasym.errors import DomainError, ViolationRecord
+from cfasym.exhaustive import (EnumerationReport, _checked_bound, _two_sided_blocks,
+                               scan_position, verify_enumeration)
+from cfasym.verifier import _typed_pairs, build_table, verify_identities, verify_main_theorem
 from cfasym.continuants import (anticontinuant, anticontinuant_range, continuant_range,
                                 euler_residual, fibonacci)
 from per_value_catalog import enumerate_types_per_value
@@ -106,7 +106,7 @@ def test_identities_reports_a_planted_parity_fault(monkeypatch):
         wrong = "even" if pred.predicted_parity == "odd" else "odd"
         return pred._replace(predicted_parity=wrong)
 
-    monkeypatch.setattr(verifier, "parity_by_inverse", flipped)
+    monkeypatch.setattr(cf, "parity_by_inverse", flipped)
     report = verify_identities(30, trials=50, seed=0)
     assert {v.kind for v in report.violations} == {"parity_prediction"}
     assert len(report.violations) == report.checked - 50  # every pair, no trial
@@ -147,7 +147,7 @@ def test_main_theorem_rejects_bad_specs():
 
 def test_main_theorem_refuses_a_large_n_before_the_certified_set(monkeypatch):
     # the certified set grows about as n^2, so it is not built for a refused n
-    monkeypatch.setattr(verifier, "exceptional_candidates",
+    monkeypatch.setattr(congruence, "exceptional_candidates",
                         lambda spec: pytest.fail("the certified set was built"))
     for n in (TARGET_MAX + 1, -10**6):
         with pytest.raises(DomainError, match=f"at most 128 in absolute value, got {n}$"):
@@ -180,14 +180,14 @@ def test_main_theorem_coarse_gives_no_type_to_a_root_outside_parity_s(
     plant_roots(alpha, add=(beta,))
     report = verify_main_theorem(CongruenceSpec(1, 0), alpha, mode="coarse")
     assert report.violations == (
-        verifier.ViolationRecord(alpha, beta, expansion, "root_without_type"),)
+        ViolationRecord(alpha, beta, expansion, "root_without_type"),)
     assert report.coarse_counterexamples == (
         verifier.CoarseCounterexample(alpha, beta, 0, (), "root_without_listed_type"),)
 
 
 def test_main_theorem_reports_a_planted_type_miss(planted_miss):
     report = verify_main_theorem(CongruenceSpec(4, 0), 100)
-    assert report.violations[0] == verifier.ViolationRecord(
+    assert report.violations[0] == ViolationRecord(
         26, 7, (3, 1, 2, 2), "root_without_type")
     assert {v.kind for v in report.violations} == {"root_without_type"}
     assert {extended_type(decompose(v.expansion)) for v in report.violations} == {planted_miss}
@@ -198,7 +198,7 @@ def test_main_theorem_reports_a_planted_extra_type(plant_catalogs):
     plant_catalogs(lambda catalog: catalog._replace(
         finite_types=catalog.finite_types | {extra}))
     report = verify_main_theorem(CongruenceSpec(4, 0), 100)
-    assert report.violations[0] == verifier.ViolationRecord(13, 3, (4, 3), "type_without_root")
+    assert report.violations[0] == ViolationRecord(13, 3, (4, 3), "type_without_root")
     assert {v.kind for v in report.violations} == {"type_without_root"}
     assert {extended_type(decompose(v.expansion)) for v in report.violations} == {extra}
 
@@ -248,7 +248,7 @@ def test_report_json_round_trip():
 
 def test_report_dict_keeps_tuples_and_lists():
     # records become dicts at every depth; sequences keep their type
-    violation = verifier.ViolationRecord(7, 2, (3, 2), "root_without_type")
+    violation = ViolationRecord(7, 2, (3, 2), "root_without_type")
     certificate = ExceptionalCertificate("gamma_condition", 1)
     report = verifier.VerificationReport(
         kind="main_theorem", alpha_min=2, alpha_max=9, checked=3, matches=2,
@@ -265,7 +265,7 @@ def test_report_dict_keeps_tuples_and_lists():
 
 
 def test_report_json_keeps_only_its_kinds_fields():
-    violation = verifier.ViolationRecord(7, 2, (3, 2), "root_without_type")
+    violation = ViolationRecord(7, 2, (3, 2), "root_without_type")
     cex = verifier.CoarseCounterexample(7, 2, 1, (1, 2), "root_without_listed_type")
     main = verifier.VerificationReport(
         kind="main_theorem", alpha_min=2, alpha_max=9, checked=3, matches=2,
@@ -345,7 +345,7 @@ def test_enumeration_reports_a_planted_miss(planted_miss):
 
 
 def test_enumeration_reports_a_planted_formula_fault(monkeypatch):
-    monkeypatch.setattr(verifier, "type_value", lambda t: type_value(t) + 1)
+    monkeypatch.setattr(asymmetry, "type_value", lambda t: type_value(t) + 1)
     report = verify_enumeration(6, 4, 6)
     assert {v.kind for v in report.violations} == {"formula_mismatch"}
     assert len(report.violations) == report.types == 126  # one per type instance
@@ -376,7 +376,7 @@ def test_enumeration_report_bytes_are_pinned(monkeypatch, no_sigma_odd):
     monkeypatch.undo()  # the real catalogs again
     reports += [verify_enumeration(*bounds) for bounds in
                 [(6, 5, 2), (6, 5, 20), (5, 8, 8), (7, 4, 30), (9, 5, 8)]]
-    monkeypatch.setattr(verifier, "type_value", lambda t: type_value(t) + 1)
+    monkeypatch.setattr(asymmetry, "type_value", lambda t: type_value(t) + 1)
     reports.append(verify_enumeration(6, 5, 8))
     assert [len(r.violations) for r in reports] == [64, 76, 0, 0, 0, 0, 0, 224]
     digest = hashlib.sha256(repr(reports).encode()).hexdigest()
@@ -567,7 +567,7 @@ def test_enumeration_matches_a_plain_python_check(monkeypatch, plant_catalogs, b
     for edit, value_of in [(kept, type_value), (no_sigma_odd, type_value),
                            (kept, off_by_one)]:
         plant_catalogs(edit)
-        monkeypatch.setattr(verifier, "type_value", value_of)
+        monkeypatch.setattr(asymmetry, "type_value", value_of)
         expected = _plain_python_check(bounds, lambda n: edit(catalog(n)), value_of)
         assert verify_enumeration(*bounds) == expected
 
@@ -629,7 +629,7 @@ def test_enumeration_decomposes_once_per_type(monkeypatch):
         calls.append(q)
         return decompose(q)
 
-    monkeypatch.setattr(verifier, "decompose", counting)
+    monkeypatch.setattr(asymmetry, "decompose", counting)
     report = verify_enumeration(6, 4, 6)
     assert report.ok
     assert len(calls) == report.types < report.hits
