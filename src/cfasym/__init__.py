@@ -8,6 +8,13 @@ its subcommand reads. Two consequences: an error in a submodule's body shows
 at its first use, not at `import cfasym`; and the library is single-threaded,
 since Python 3.10-3.11's `LazyLoader` is not thread-safe the first time a
 module is touched (3.12 added a lock).
+
+To keep it so, a submodule reads a sibling as a module at call time (`from . import
+cf`, then `cf.expand(...)`), not by name (`from .cf import expand`), which
+would run `cf` whenever the importer runs, and whose copy of the name a
+test would have to patch as well as the owner's. Only a sibling that every
+operation of the importer needs is imported by name: `errors` everywhere,
+and `continuants` in `cf` and `asymmetry`.
 """
 
 import importlib.util
@@ -27,8 +34,8 @@ _EXPORTS = {
                    "candidate_pairs", "exceptional_candidates", "folded_expand_classify",
                    "folded_normalize", "main_theorem_specs", "solve_quadratic",
                    "true_exceptions"),
-    "verifier": ("TableDocument", "VerificationReport", "build_table", "verify_identities",
-                 "verify_main_theorem"),
+    "verifier": ("TableDocument", "VerificationReport", "build_table", "run_battery",
+                 "verify_identities", "verify_main_theorem"),
 }
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
 

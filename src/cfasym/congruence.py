@@ -6,12 +6,11 @@ fail, the pairs among those moduli whose expansions never reach the target
 anticontinuant, and the n = +-2 family of fractions b*n^2 / (b*a*n - eps)
 with its three quotient patterns.
 
-The root side needs no continued fractions, so `asymmetry` and `cf` are
-read as modules at call time, not imported by name: the package registers
-them lazily, and a name import would run them, and with them `continuants`,
-whenever this module runs.  `solve_quadratic`, `exceptional_candidates`,
-`candidate_pairs` and `true_exceptions` thus run only this module and
-`errors`; the folded operations and `main_theorem_specs` run what they read.
+The root side needs no continued fractions, and `asymmetry` and `cf` are
+read at call time (see the package docstring), so `solve_quadratic`,
+`exceptional_candidates`, `candidate_pairs` and `true_exceptions` run only
+this module and `errors`; the folded operations and `main_theorem_specs`
+run what they read.
 """
 
 from __future__ import annotations

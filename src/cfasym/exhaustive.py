@@ -55,10 +55,9 @@ in scan order, and the hit order of the tests' listing `tests/scanning.py`.
 All arithmetic is in Python ints.  Only the scan is free of type theory:
 it uses continuant algebra alone, so it stays an independent check of the
 type catalog.  The check, `verify_enumeration`, decomposes each instance and
-builds its catalogs through `asymmetry`, which it reads as a module at call
-time: the package registers that module lazily, so the scan and the check
-run only this module, `errors`, `asymmetry` and `continuants`, and
-`asymmetry` only once the check is called.
+builds its catalogs through `asymmetry`, read at call time (see the package
+docstring), so the scan and the check run only this module, `errors`,
+`asymmetry` and `continuants`, and `asymmetry` only once the check is called.
 """
 
 from __future__ import annotations
@@ -92,7 +91,8 @@ def _checked_bound(max_len: int, max_entry: int, value_bound: int) -> int:
         raise DomainError("bounds must be positive")
     if max_entry > ENTRY_MAX:
         raise DomainError(f"max_entry must be at most {ENTRY_MAX}, got {max_entry}")
-    if (max_entry + 1) ** max_len >= _SEQUENCE_SPACE_MAX:
+    # max_entry >= 1, so the base is at least 2: refuse a long max_len before the power
+    if max_len >= 62 or (max_entry + 1) ** max_len >= _SEQUENCE_SPACE_MAX:
         raise DomainError(f"bounds (len {max_len}, entry {max_entry}) span a sequence "
                           f"space of (max_entry + 1)**max_len >= 2**62")
     # every continuant reached is at most prod(q_i + 1), and A is a difference of two

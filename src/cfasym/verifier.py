@@ -9,13 +9,14 @@ by modulus, the roots of x^2 + nx + (-1)^s with the denominators of the
 selected expansions that carry a type of value n and length parity s,
 composed from the type catalog (`_typed_pairs`); the finitely many certified
 moduli are excluded and reported.  `build_table` lists each value's printable
-types and true exceptions.  Reports are plain data with stable ordering, so
-equal inputs give byte-identical serializations.  The third check,
-`verify_enumeration`, lives beside its scanner in `exhaustive`.
+types and true exceptions, and `run_battery` runs both sweeps and the table
+together.  Reports are plain data with stable ordering, so equal inputs give
+byte-identical serializations.  The third check, `verify_enumeration`, lives
+beside its scanner in `exhaustive`.
 
-`cf` and `congruence` are read as modules at call time, as `congruence`
-reads `asymmetry`: the package registers them lazily, so `verify_identities`
-runs no `congruence` and `build_table` no `cf`.
+Sibling modules are read at call time (see the package docstring), so
+`verify_identities` runs no `asymmetry` or `congruence`, and `build_table`
+no `cf`.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
-from . import cf, congruence
-from .asymmetry import (TARGET_MAX, ExtendedAsymmetryType, _catalog, _sigma_even_pairs,
-                        decompose, enumerate_types)
-from .continuants import _check_entries, _ends, anticontinuant, euler_residual
+from . import asymmetry, cf, congruence, continuants
 from .errors import (DomainError, ViolationRecord, as_plain, is_int, render_csv, report_ok,
                      report_to_json)
 
@@ -77,6 +75,19 @@ class VerificationReport(NamedTuple):
         return {**out, "ok": self.ok}
 
 
+def _check_alpha_max(name: str, alpha_max) -> None:
+    if not is_int(alpha_max) or alpha_max < 2:  # the sweeps start at alpha = 2
+        raise DomainError(f"{name} must be an integer >= 2, got {alpha_max!r}")
+
+
+def _check_identity_bounds(max_alpha, trials, seed) -> None:
+    _check_alpha_max("max_alpha", max_alpha)
+    if not is_int(trials) or trials < 0:
+        raise DomainError(f"trials must be a non-negative integer, got {trials!r}")
+    if not is_int(seed):
+        raise DomainError(f"seed must be an integer, got {seed!r}")
+
+
 def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> VerificationReport:
     """Exhaustive identity sweep over coprime pairs with alpha <= max_alpha.
 
@@ -86,12 +97,7 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
     sequences are checked for a vanishing continuant-identity residual and
     for A(reversed) = -A.  Failures become report records, not exceptions.
     """
-    if not is_int(max_alpha) or max_alpha < 2:
-        raise DomainError(f"max_alpha must be an integer >= 2, got {max_alpha!r}")
-    if not is_int(trials) or trials < 0:
-        raise DomainError(f"trials must be a non-negative integer, got {trials!r}")
-    if not is_int(seed):
-        raise DomainError(f"seed must be an integer, got {seed!r}")
+    _check_identity_bounds(max_alpha, trials, seed)
     violations: list[ViolationRecord] = []
     checked = 0
     for alpha in range(2, max_alpha + 1):
@@ -101,11 +107,11 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
             checked += 1
             conv = cf.expand(alpha, beta)
             for q in (conv, cf.alternate_expansion(conv)):
-                a_val = anticontinuant(q)
+                a_val = continuants.anticontinuant(q)
                 unit = -1 if len(q) % 2 else 1
                 if (beta * beta + a_val * beta + unit) % alpha != 0:
                     violations.append(ViolationRecord(alpha, beta, q, "congruence_identity"))
-            if 2 * abs(anticontinuant(conv)) >= alpha:
+            if 2 * abs(continuants.anticontinuant(conv)) >= alpha:
                 violations.append(ViolationRecord(alpha, beta, conv, "half_bound"))
             predicted = cf.parity_by_inverse(alpha, beta).predicted_parity
             actual = "odd" if len(conv) % 2 else "even"
@@ -123,9 +129,9 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
         n = rng.randint(m, s - 1)
         l = rng.randint(0, m + 2)
         k = rng.randint(0, l)
-        if euler_residual(q, k, l, m, n) != 0:
+        if continuants.euler_residual(q, k, l, m, n) != 0:
             violations.append(ViolationRecord(None, None, q, "euler_identity"))
-        if anticontinuant(q[::-1]) != -anticontinuant(q):
+        if continuants.anticontinuant(q[::-1]) != -continuants.anticontinuant(q):
             violations.append(ViolationRecord(None, None, q, "reversal_antisymmetry"))
 
     return VerificationReport(
@@ -153,16 +159,16 @@ def verify_main_theorem(spec: congruence.CongruenceSpec, alpha_max: int,
     """
     if mode not in ("refined", "coarse"):
         raise DomainError(f"mode must be 'refined' or 'coarse', got {mode!r}")
-    if not is_int(alpha_max) or alpha_max < 2:  # the sweep starts at alpha = 2
-        raise DomainError(f"alpha_max must be an integer >= 2, got {alpha_max!r}")
-    if abs(spec.n) > TARGET_MAX:  # enumerate_types' refusal, before the certified set
-        raise DomainError(f"target must be at most {TARGET_MAX} in absolute value, got {spec.n}")
+    _check_alpha_max("alpha_max", alpha_max)
+    if abs(spec.n) > asymmetry.TARGET_MAX:  # enumerate_types' refusal, before the certified set
+        raise DomainError(f"target must be at most {asymmetry.TARGET_MAX} in absolute value, "
+                          f"got {spec.n}")
     candidates = congruence.exceptional_candidates(spec)  # also validates (n, s)
     n, s = spec.n, spec.s
-    catalog = enumerate_types(n, "odd" if s else "even")
+    catalog = asymmetry.enumerate_types(n, "odd" if s else "even")
     typed_of = _typed_pairs(catalog.finite_types, alpha_max)
     if mode == "coarse":
-        listed_of = _typed_pairs([ExtendedAsymmetryType(c, core, sigma)
+        listed_of = _typed_pairs([asymmetry.ExtendedAsymmetryType(c, core, sigma)
                                   for c, core in catalog.coarse_pairs()
                                   for sigma in ("even", "odd")], alpha_max)
 
@@ -193,7 +199,7 @@ def verify_main_theorem(spec: congruence.CongruenceSpec, alpha_max: int,
                                      ("listed_type_without_root", listed - roots)):
                 for beta in sorted(betas):
                     q = cf.expand(alpha, beta)
-                    dec = decompose(q)
+                    dec = asymmetry.decompose(q)
                     c, core = (dec.c, dec.core) if len(q) % 2 == s and dec.c else (0, ())
                     coarse_cex.append(CoarseCounterexample(alpha, beta, c, core, direction))
 
@@ -205,7 +211,7 @@ def verify_main_theorem(spec: congruence.CongruenceSpec, alpha_max: int,
         necessary_exclusions=tuple(necessary))
 
 
-def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
+def _typed_pairs(types: Iterable[asymmetry.ExtendedAsymmetryType],
                  alpha_max: int) -> dict[int, set[int]]:
     """Denominators by modulus <= alpha_max of the selected expansions carrying `types`.
 
@@ -239,8 +245,8 @@ def _typed_pairs(types: Iterable[ExtendedAsymmetryType],
             a += 1
 
     for t in types:
-        _check_entries(t.core)
-        k, kt, kh, km = _ends(t.core)
+        continuants._check_entries(t.core)
+        k, kt, kh, km = continuants._ends(t.core)
         sigma = t.sigma == "odd"
         shift = -t.c if sigma else t.c
         for y in range(max(1, 1 - shift), alpha_max + 1):  # K(block) >= y
@@ -304,9 +310,9 @@ def build_table(n_max: int) -> TableDocument:
     """
     covered = set(congruence.main_theorem_specs(n_max))  # refuses a bad n_max first
     rows = []
-    for value, pairs in _sigma_even_pairs(n_max).items():
+    for value, pairs in asymmetry._sigma_even_pairs(n_max).items():
         # one catalog per value, split by core-length parity as enumerate_types does
-        catalog = _catalog(value, pairs)
+        catalog = asymmetry._catalog(value, pairs)
         for parity_bit, parity in ((0, "even"), (1, "odd")):
             # sort on (core length, marginal, entries), a family's slot counting as 0
             keyed = [((len(core), c, core), c, ",".join(map(str, core)))
@@ -318,3 +324,42 @@ def build_table(n_max: int) -> TableDocument:
             exceptions = tuple(congruence.true_exceptions(spec)) if spec in covered else ()
             rows.append(TableRow(value, parity, tuple(entries), exceptions))
     return TableDocument(n_max=n_max, rows=tuple(rows))
+
+
+class BatteryReport(NamedTuple):
+    """`run_battery`'s reports and table, and the text of each file it writes, by name."""
+
+    identities: VerificationReport
+    main: tuple[VerificationReport, ...]
+    table: TableDocument
+    files: dict[str, str]
+
+    @property
+    def ok(self) -> bool:
+        return self.identities.ok and all(report.ok for report in self.main)
+
+
+def run_battery(n_max: int = 6, alpha_max: int = 2000, identities_alpha_max: int = 500,
+                trials: int = 10000, seed: int = 0) -> BatteryReport:
+    """The identity sweep, the refined sweep of each `main_theorem_specs(n_max)`, the table.
+
+    Every bound is refused (DomainError) before the first sweep runs.  The
+    files are `identities.json`, `main_n{n:+d}_s{s}.json` per spec,
+    `main_theorem_all.json` (the specs' `to_dict()` as one sorted-key JSON
+    list), `table.csv` and `table.txt`.
+    """
+    specs = congruence.main_theorem_specs(n_max)
+    _check_identity_bounds(identities_alpha_max, trials, seed)
+    _check_alpha_max("alpha_max", alpha_max)
+    identities = verify_identities(identities_alpha_max, trials=trials, seed=seed)
+    main = tuple(verify_main_theorem(spec, alpha_max) for spec in specs)
+    table = build_table(n_max)
+
+    import json  # only the battery's summary reads it; kept out of CLI start-up
+
+    files = {"identities.json": identities.to_json() + "\n",
+             **{f"main_n{r.n:+d}_s{r.s}.json": r.to_json() + "\n" for r in main},
+             "main_theorem_all.json": json.dumps([r.to_dict() for r in main],
+                                                 sort_keys=True) + "\n",
+             "table.csv": table.to_csv(), "table.txt": table.to_text()}
+    return BatteryReport(identities, main, table, files)

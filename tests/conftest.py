@@ -9,7 +9,7 @@ import pytest
 sys.dont_write_bytecode = True
 os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
-from cfasym import asymmetry, congruence, verifier
+from cfasym import asymmetry, congruence
 from cfasym.asymmetry import _catalog, decompose, extended_type
 from per_value_catalog import enumerate_types_per_value
 
@@ -30,7 +30,6 @@ def plant_catalogs(monkeypatch):
             return edit(_catalog(n, pairs, lambda_parity))
 
         monkeypatch.setattr(asymmetry, "_catalog", planted)
-        monkeypatch.setattr(verifier, "_catalog", planted)
     return plant
 
 
@@ -70,9 +69,9 @@ def plant_roots(monkeypatch):
     The fault goes on the root side, `congruence.solve_quadratic`;
     `planted_miss` plants one on the typed side, which the verifier composes
     from its catalog.  `true_exceptions` reads the same name, so the fault
-    reaches it too: of this fixture's users only the battery script's test
-    builds a table, and its plant (root 2 dropped at 7) leaves the table's
-    bytes as they are.
+    reaches it too: of this fixture's users only the battery's test builds
+    a table, and its plant (root 2 dropped at 7) leaves the table's bytes
+    as they are.
     """
     def plant(alpha, drop=(), add=()):
         solve = congruence.solve_quadratic

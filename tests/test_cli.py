@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import sysconfig
@@ -254,6 +255,97 @@ def test_verify_enumeration_refuses_a_large_entry_bound_at_once():
                            "got 1000000000\n")
 
 
+def test_verify_enumeration_refuses_a_long_length_at_once():
+    # refused before (max_entry + 1) ** max_len, a power of 3 * 10**10 bits
+    # here, is computed; a child with a timeout, so a slow guard fails
+    done = subprocess.run(
+        [sys.executable, "-m", "cfasym.cli", "verify", "enumeration",
+         "--max-len", "10000000000"],
+        capture_output=True, text=True, timeout=5,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")})
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == ("cfasym: domain error: bounds (len 10000000000, entry 8) span a "
+                           "sequence space of (max_entry + 1)**max_len >= 2**62\n")
+
+
+_BATTERY = ("verify", "battery", "--identities-alpha-max", "30", "--trials", "50",
+            "--alpha-max", "60", "--n-max", "2")
+# the script's lines without their timings; the table line names --out
+_BATTERY_OUT = """\
+identities: checked=327 violations=0
+main (n=+1, s=0): checked=20 violations=0 necessary_exclusions=[3]
+main (n=+1, s=1): checked=14 violations=0 necessary_exclusions=[5]
+main (n=-1, s=0): checked=20 violations=0 necessary_exclusions=[3]
+main (n=-1, s=1): checked=14 violations=0 necessary_exclusions=[5]
+main (n=+2, s=1): checked=18 violations=0 necessary_exclusions=[2, 7]
+main (n=-2, s=1): checked=18 violations=0 necessary_exclusions=[2, 7]
+table: 4 row groups written to {out}
+all sweeps clean
+"""
+
+
+def test_verify_battery_small_bounds(capsys, tmp_path):
+    code, out, err = run(capsys, *_BATTERY, "--out", str(tmp_path / "reports"))
+    assert code == 0 and err == ""
+    assert out == _BATTERY_OUT.format(out=tmp_path / "reports" / "table.csv")
+    mains = [f"main_n{n:+d}_s{s}.json" for n in (1, -1, 2, -2) for s in (0, 1)
+             if (abs(n), s) != (2, 0)]
+    files = {p.name: p.read_text() for p in (tmp_path / "reports").iterdir()}
+    assert sorted(files) == sorted(
+        ["identities.json", "main_theorem_all.json", "table.csv", "table.txt", *mains])
+    battery = verifier.run_battery(2, 60, 30, 50, 0)
+    assert files == battery.files
+    code, out, _ = run(capsys, "--format", "json", *_BATTERY, "--out", str(tmp_path / "json"))
+    assert code == 0 and json.loads(out) == {"out": str(tmp_path / "json"),
+                                             "files": list(battery.files), "ok": True}
+
+
+def test_verify_battery_reports_violations(capsys, tmp_path, plant_roots):
+    plant_roots(7, drop=(2,))
+    code, out, err = run(capsys, *_BATTERY, "--out", str(tmp_path))
+    assert code == 3 and err == ""
+    lines = out.splitlines()
+    assert lines[-1] == "VIOLATIONS FOUND"
+    assert [line for line in lines if "violations=0" not in line][:-2] == [
+        "main (n=+1, s=0): checked=20 violations=1 necessary_exclusions=[3]"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        verifier.run_battery(2, 60, 30, 50, 0).files)
+    code, out, _ = run(capsys, "--format", "csv", *_BATTERY, "--out", str(tmp_path))
+    assert code == 3 and out == "kind,alpha,beta,expansion\ntype_without_root,7,2,3.2\n"
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("a sweep ran")
+
+
+@pytest.mark.parametrize("flag, value", [("--n-max", "129"), ("--n-max", "0"),
+                                         ("--alpha-max", "0"), ("--alpha-max", "1"),
+                                         ("--identities-alpha-max", "1"), ("--trials", "-1")])
+def test_verify_battery_refuses_a_bound_with_the_domain_exit(capsys, monkeypatch, tmp_path,
+                                                             flag, value):
+    # one line and the domain exit, before any sweep, and no --out
+    for sweep in ("verify_identities", "verify_main_theorem", "build_table"):
+        monkeypatch.setattr(verifier, sweep, _no_sweep)
+    code, out, err = run(capsys, "verify", "battery", "--out", str(tmp_path / "out"),
+                         flag, value)
+    assert code == 2 and out == ""
+    assert re.fullmatch(rf"cfasym: domain error: .*got {value}\n", err)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_verify_battery_refuses_an_out_at_a_file(capsys, monkeypatch, tmp_path, under):
+    # a domain error before the first sweep, not a traceback from mkdir after all of them
+    monkeypatch.setattr(verifier, "run_battery", _no_sweep)
+    found = tmp_path / "reports"
+    found.write_text("kept\n")
+    out = found / under
+    code, stdout, err = run(capsys, "verify", "battery", "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"cfasym: domain error: --out {out}: {found} is not a directory\n"
+    assert found.read_text() == "kept\n"
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # the table's 112 KB fill the pipe, so the child is still writing when
     # its reader leaves after one line, as `cfasym table | head -1` does
@@ -320,7 +412,7 @@ def test_csv_unavailable_is_usage_error(capsys):
     assert run(capsys, "--format", "csv", "anticont", "3,1,1,3")[0] == 1
 
 
-def test_every_operation_reachable(capsys):
+def test_every_operation_reachable(capsys, tmp_path):
     # coverage audit: one invocation per library operation
     invocations = {
         "expand": ["expand", "25", "7"],
@@ -350,6 +442,7 @@ def test_every_operation_reachable(capsys):
         "verify_enumeration": ["verify", "enumeration", "--max-len", "4", "--max-entry", "3",
                                "--value-bound", "2"],
         "build_table": ["table", "--n-max", "1"],
+        "run_battery": [*_BATTERY, "--out", str(tmp_path)],
     }
     for op, argv in invocations.items():
         code, out, err = run(capsys, *argv)
@@ -437,8 +530,7 @@ _SWEPT = _TYPED | {"congruence", "verifier"}  # cf runs only to expand a violati
     ("exceptional --n 3 --s 1 --pairs", _ROOTS),
     ("exceptional --n 3 --s 1 --true-exceptions", _ROOTS),
     ("verify enumeration --max-len 6 --max-entry 4 --value-bound 6", _TYPED | {"exhaustive"}),
-    ("verify identities --alpha-max 20 --trials 5",
-     _START | {"verifier", "asymmetry", "cf", "continuants"}),
+    ("verify identities --alpha-max 20 --trials 5", _START | {"verifier", "cf", "continuants"}),
 ])
 def test_subcommand_runs_only_the_modules_it_reads(argv, ran):
     # -S as above; the scanner, exhaustive, runs only under verify enumeration

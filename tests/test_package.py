@@ -32,7 +32,7 @@ def test_import_registers_every_submodule_and_runs_none():
 
 
 def test_every_export_is_its_owner_modules_attribute():
-    assert len(cfasym.__all__) == 41 and cfasym.__all__ == sorted(cfasym.__all__)
+    assert len(cfasym.__all__) == 42 and cfasym.__all__ == sorted(cfasym.__all__)
     owners = set()
     for name in cfasym.__all__:
         obj = getattr(cfasym, name)
@@ -46,7 +46,7 @@ def test_star_import_binds_every_export():
     out = run_fresh("from cfasym import *\nimport cfasym\n"
                     "print([n for n in cfasym.__all__ if globals().get(n) is not getattr(cfasym, n)],"
                     " len(cfasym.__all__))")
-    assert out == "[] 41\n"
+    assert out == "[] 42\n"
 
 
 def test_dir_lists_every_export():

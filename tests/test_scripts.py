@@ -10,13 +10,11 @@ import pytest
 from cfasym import cli
 from cfasym.cli import DOMAIN_EXIT
 from cfasym.exhaustive import verify_enumeration
-from cfasym.verifier import build_table, verify_identities
 from scanning import scan_small_anticontinuants, scan_small_anticontinuants_reference
 
 ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 SCAN_SCRIPT = SCRIPTS / "scan_enumeration.py"
-RUN_SCRIPT = SCRIPTS / "run_verification.py"
 
 
 def test_scan_enumeration_script_small_bounds(capsys, monkeypatch):
@@ -127,66 +125,6 @@ def test_enumeration_check_runs_without_numpy(capsys, monkeypatch):
     elapsed = re.compile(r"\[\d+\.\ds\]")  # the script's timing
     assert elapsed.sub("", done.stdout) == elapsed.sub("", expected)
     assert len(expected.splitlines()) == 5
-
-
-def _run_verification(monkeypatch, out):
-    argv = ["--identities-alpha-max", "30", "--trials", "50", "--alpha-max", "60",
-            "--n-max", "2", "--out", str(out)]
-    monkeypatch.setattr(sys, "argv", [str(RUN_SCRIPT), *argv])
-    return runpy.run_path(str(RUN_SCRIPT), run_name="run_verification")["main"]()
-
-
-def test_run_verification_script_small_bounds(capsys, monkeypatch, tmp_path):
-    assert _run_verification(monkeypatch, tmp_path) == 0
-    assert capsys.readouterr().out.endswith("all sweeps clean\n")
-    mains = [f"main_n{n:+d}_s{s}.json" for n in (1, -1, 2, -2) for s in (0, 1)
-             if (abs(n), s) != (2, 0)]
-    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
-        ["identities.json", "main_theorem_all.json", "table.csv", "table.txt", *mains])
-    identities = verify_identities(30, trials=50, seed=0).to_json() + "\n"
-    assert (tmp_path / "identities.json").read_text() == identities
-    assert (tmp_path / "table.csv").read_text() == build_table(2).to_csv()
-
-
-def test_run_verification_script_reports_violations(capsys, monkeypatch, tmp_path,
-                                                    plant_roots):
-    plant_roots(7, drop=(2,))
-    assert _run_verification(monkeypatch, tmp_path) == 3
-    captured = capsys.readouterr()
-    assert "all sweeps clean" not in captured.out
-    assert captured.err == "VIOLATIONS FOUND\n"
-
-
-@pytest.mark.parametrize("flag, value", [("--n-max", "129"), ("--n-max", "0"),
-                                         ("--alpha-max", "0"), ("--alpha-max", "1"),
-                                         ("--identities-alpha-max", "1"), ("--trials", "-1")])
-def test_run_verification_script_refuses_a_bound_with_the_domain_exit(tmp_path, flag, value):
-    # one line and the domain exit, not a traceback, and no --out: the
-    # reports are written only once every sweep has accepted its bounds.
-    # Only the main sweep's --alpha-max is refused after a sweep has run.
-    argv = ["--identities-alpha-max", "20", "--trials", "5", "--out", str(tmp_path / "out"),
-            flag, value]
-    done = subprocess.run([sys.executable, str(RUN_SCRIPT), *argv], capture_output=True,
-                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert done.returncode == DOMAIN_EXIT
-    assert re.fullmatch(rf"run_verification: domain error: .*got {value}\n", done.stderr)
-    assert not (tmp_path / "out").exists()
-    if flag != "--alpha-max":
-        assert done.stdout == ""
-
-
-@pytest.mark.parametrize("under", ["", "sub"])
-def test_run_verification_script_refuses_an_out_at_a_file(tmp_path, under):
-    # a usage error before the first sweep, not a traceback from mkdir after all of them
-    found = tmp_path / "reports"
-    found.write_text("kept\n")
-    out = found / under
-    done = subprocess.run([sys.executable, str(RUN_SCRIPT), "--out", str(out)],
-                          capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
-    assert done.returncode == 2 and done.stdout == ""
-    assert done.stderr.endswith(f"error: --out {out}: {found} is not a directory\n")
-    assert found.read_text() == "kept\n"
 
 
 CODE_LINES_SNIPPET = '''"""Module docstring,

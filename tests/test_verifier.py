@@ -5,7 +5,7 @@ from math import gcd
 
 import pytest
 
-from cfasym import asymmetry, cf, congruence, verifier
+from cfasym import asymmetry, cf, congruence, continuants, verifier
 from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enumerate_types,
                               extended_type, type_value)
 from cfasym.cf import evaluate, expand, parity_by_inverse
@@ -113,14 +113,14 @@ def test_identities_reports_a_planted_parity_fault(monkeypatch):
 
 
 def test_identities_reports_a_planted_anticontinuant_fault(monkeypatch):
-    monkeypatch.setattr(verifier, "anticontinuant", lambda q: anticontinuant(q) + 1)
+    monkeypatch.setattr(continuants, "anticontinuant", lambda q: anticontinuant(q) + 1)
     report = verify_identities(30, trials=50, seed=0)
     assert {v.kind for v in report.violations} == {
         "congruence_identity", "half_bound", "reversal_antisymmetry"}
 
 
 def test_identities_reports_a_planted_euler_fault(monkeypatch):
-    monkeypatch.setattr(verifier, "euler_residual", lambda q, k, l, m, n: 1)
+    monkeypatch.setattr(continuants, "euler_residual", lambda q, k, l, m, n: 1)
     report = verify_identities(30, trials=50, seed=0)
     assert [v.kind for v in report.violations] == ["euler_identity"] * 50
 
@@ -421,7 +421,6 @@ def _counting_searches(monkeypatch):
 
     search = asymmetry._sigma_even_pairs
     monkeypatch.setattr(asymmetry, "_sigma_even_pairs", counting)
-    monkeypatch.setattr(verifier, "_sigma_even_pairs", counting)
     return calls
 
 
@@ -656,3 +655,31 @@ def test_build_table_refuses_n_max_past_the_catalog_bound(monkeypatch):
     with pytest.raises(DomainError):
         build_table(TARGET_MAX + 1)
     assert calls == []
+
+
+def test_battery_files_are_the_calls_they_come_from():
+    battery = verifier.run_battery(2, 60, 30, 50, 0)
+    specs = main_theorem_specs(2)
+    identities = verify_identities(30, trials=50, seed=0)
+    mains = [verify_main_theorem(spec, 60, mode="refined") for spec in specs]
+    table = build_table(2)
+    assert battery == (identities, tuple(mains), table, battery.files) and battery.ok
+    assert battery.files == {
+        "identities.json": identities.to_json() + "\n",
+        **{f"main_n{spec.n:+d}_s{spec.s}.json": report.to_json() + "\n"
+           for spec, report in zip(specs, mains)},
+        "main_theorem_all.json": json.dumps([r.to_dict() for r in mains], sort_keys=True) + "\n",
+        "table.csv": table.to_csv(), "table.txt": table.to_text()}
+
+
+@pytest.mark.parametrize("bounds", [
+    {"n_max": 0}, {"n_max": TARGET_MAX + 1}, {"alpha_max": 1}, {"alpha_max": 60.0},
+    {"identities_alpha_max": 1}, {"trials": -1}, {"seed": "0"}])
+def test_battery_refuses_every_bound_before_any_sweep(monkeypatch, bounds):
+    def ran(*args, **kwargs):
+        raise AssertionError("a sweep ran")
+
+    for sweep in ("verify_identities", "verify_main_theorem", "build_table"):
+        monkeypatch.setattr(verifier, sweep, ran)
+    with pytest.raises(DomainError, match=f"got {next(iter(bounds.values()))!r}"):
+        verifier.run_battery(**bounds)
