@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Count the code lines of each module of a package, and in total.
+"""Count the code lines of each module of a package, its subpackages included, and in total.
 
 A code line is a source line that carries at least one token other than a
 comment, an indent, a dedent or a line break, and that is not part of a
@@ -46,8 +46,9 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     package = Path(argv[0]) if argv else Path(__file__).resolve().parents[1] / "src" / "cfasym"
-    counts = {path.name: code_lines(path.read_text(encoding="utf-8"))
-              for path in sorted(package.glob("*.py"))}
+    # a subpackage's modules are named by their path under the package, as cli/checks.py
+    counts = {path.relative_to(package).as_posix(): code_lines(path.read_text(encoding="utf-8"))
+              for path in sorted(package.rglob("*.py"))}
     width = max(map(len, [*counts, "total"]))
     for name, count in counts.items():
         print(f"{name:<{width}}  {count:>5}")

@@ -3,11 +3,11 @@
 `import cfasym` runs none of the seven submodules below. It registers each one
 in `sys.modules` and on the package through `importlib.util.LazyLoader`, and
 a submodule runs the first time one of its attributes is read, on it or
-through a name the package exports. So a CLI start compiles only the modules
-its subcommand reads. Two consequences: an error in a submodule's body shows
-at its first use, not at `import cfasym`; and the library is single-threaded,
-since Python 3.10-3.11's `LazyLoader` is not thread-safe the first time a
-module is touched (3.12 added a lock).
+through a name the package exports. So a CLI start compiles the CLI core,
+its subcommand's group and the modules they read. Two consequences: an error
+in a submodule's body shows at its first use, not at `import cfasym`; and the
+library is single-threaded, since Python 3.10-3.11's `LazyLoader` is not
+thread-safe the first time a module is touched (3.12 added a lock).
 
 To keep it so, a submodule reads a sibling as a module at call time (`from . import
 cf`, then `cf.expand(...)`), not by name (`from .cf import expand`), which

@@ -1,5 +1,7 @@
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -172,6 +174,16 @@ def test_the_one_command_parser_reads_as_the_full_one(capsys, monkeypatch, argv)
     assert run(capsys, *argv.split()) == one_command
 
 
+def test_every_subcommand_is_in_exactly_one_group():
+    # the core's table names each subcommand's group; that group, and no
+    # other module of the package, lists its handler and arguments
+    groups = {m.name: importlib.import_module(f"cfasym.cli.{m.name}").COMMANDS
+              for m in pkgutil.iter_modules(cli.__path__) if m.name != "__main__"}
+    listed = [name for table in groups.values() for name in table]
+    assert sorted(listed) == sorted(cli._COMMANDS) == sorted(_COMMAND_NAMES)
+    assert all(name in groups[group] for name, (_, group) in cli._COMMANDS.items())
+
+
 def test_a_start_builds_only_the_named_subcommands_arguments(capsys):
     argv = ["expand", "355", "113"]
     assert cli.build_parser(argv).parse_args(argv).alpha == 355
@@ -205,7 +217,7 @@ def test_violation_exit_3(capsys, monkeypatch):
             violations=(violation,), n=report.n, s=report.s, mode=report.mode,
             excluded=report.excluded)
 
-    monkeypatch.setattr(cli.verifier, "verify_main_theorem", broken)
+    monkeypatch.setattr(verifier, "verify_main_theorem", broken)
     code, out, _ = run(capsys, "verify", "main", "--n", "4", "--s", "0",
                        "--alpha-max", "20")
     assert code == 3 and "violations=1" in out
@@ -463,7 +475,7 @@ def test_verify_text_counts_unprinted_violations(capsys, monkeypatch):
             violations=violations, n=report.n, s=report.s, mode=report.mode,
             excluded=report.excluded)
 
-    monkeypatch.setattr(cli.verifier, "verify_main_theorem", broken)
+    monkeypatch.setattr(verifier, "verify_main_theorem", broken)
     argv = ["verify", "main", "--n", "4", "--s", "0", "--alpha-max", "20"]
     code, out, _ = run(capsys, *argv)
     lines = out.splitlines()
@@ -482,21 +494,25 @@ def test_cli_import_leaves_out_numpy_and_the_scanner():
     # The scanner, cfasym.exhaustive, is registered as a LazyLoader stub, so
     # the check is that it has not run.  -S keeps site's .pth hooks, which can
     # import random at start, out of the count; site-packages stays on the
-    # path so numpy is still findable.
+    # path so numpy is still findable.  No CLI group module runs either: a
+    # start imports only the group of the subcommand it runs.
     unread = {"numpy", "dataclasses", "inspect", "random", "json"}
     code = ("import sys, types, cfasym, cfasym.cli\n"
             f"print(sorted({unread!r} & set(sys.modules)),"
-            " type(sys.modules['cfasym.exhaustive']) is types.ModuleType)")
+            " type(sys.modules['cfasym.exhaustive']) is types.ModuleType,"
+            " [n for n in sys.modules if n.startswith('cfasym.cli.')])")
     path = os.pathsep.join([str(Path(__file__).resolve().parents[1] / "src"),
                             sysconfig.get_path("purelib")])
     done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert done.stdout == "[] False\n"
+    assert done.stdout == "[] False []\n"
 
 
 # The child prints its exit code and the cfasym modules that have run.  A
 # registered module that has not run is a LazyLoader stub, not a plain module;
 # reading any attribute of one would run it, so the check looks only at types.
+# Each case names the one CLI group (cli.quotients, cli.catalog,
+# cli.congruences or cli.checks) whose handler it runs.
 _RAN_MODULES = """\
 import sys, types
 from cfasym.cli import main
@@ -514,23 +530,25 @@ _SWEPT = _TYPED | {"congruence", "verifier"}  # cf runs only to expand a violati
 
 @pytest.mark.parametrize("argv, ran", [
     ("--help", _START),
-    ("expand 355 113", _EXPANSION),
-    ("--format json expand 25 7 --predict-parity", _EXPANSION),
-    ("continuant 2,1,2,1", _START | {"continuants"}),
-    ("anticont 3,1,1,3", _START | {"continuants"}),
-    ("type 2,1,2,1", _TYPED),
-    ("enumerate --n 3", _TYPED),
-    ("solve --n 3 --s 1 --alpha 654321", _ROOTS),
-    ("--format csv solve --n 3 --s 1 --alpha 654321", _ROOTS),
-    ("--format json folded --b 2 --n 2 --a 1", _SOLVED),
-    ("exceptional --n 3 --s 1 --certificates", _ROOTS),
-    ("verify main --n 4 --s 0 --alpha-max 30", _SWEPT),
-    ("table --n-max 2", _SWEPT),
-    ("--format json solve --n 3 --s 1 --alpha 654321", _ROOTS),
-    ("exceptional --n 3 --s 1 --pairs", _ROOTS),
-    ("exceptional --n 3 --s 1 --true-exceptions", _ROOTS),
-    ("verify enumeration --max-len 6 --max-entry 4 --value-bound 6", _TYPED | {"exhaustive"}),
-    ("verify identities --alpha-max 20 --trials 5", _START | {"verifier", "cf", "continuants"}),
+    ("expand 355 113", _EXPANSION | {"cli.quotients"}),
+    ("--format json expand 25 7 --predict-parity", _EXPANSION | {"cli.quotients"}),
+    ("continuant 2,1,2,1", _START | {"continuants", "cli.quotients"}),
+    ("anticont 3,1,1,3", _START | {"continuants", "cli.quotients"}),
+    ("type 2,1,2,1", _TYPED | {"cli.catalog"}),
+    ("enumerate --n 3", _TYPED | {"cli.catalog"}),
+    ("solve --n 3 --s 1 --alpha 654321", _ROOTS | {"cli.congruences"}),
+    ("--format csv solve --n 3 --s 1 --alpha 654321", _ROOTS | {"cli.congruences"}),
+    ("--format json folded --b 2 --n 2 --a 1", _SOLVED | {"cli.congruences"}),
+    ("exceptional --n 3 --s 1 --certificates", _ROOTS | {"cli.congruences"}),
+    ("verify main --n 4 --s 0 --alpha-max 30", _SWEPT | {"cli.checks"}),
+    ("table --n-max 2", _SWEPT | {"cli.checks"}),
+    ("--format json solve --n 3 --s 1 --alpha 654321", _ROOTS | {"cli.congruences"}),
+    ("exceptional --n 3 --s 1 --pairs", _ROOTS | {"cli.congruences"}),
+    ("exceptional --n 3 --s 1 --true-exceptions", _ROOTS | {"cli.congruences"}),
+    ("verify enumeration --max-len 6 --max-entry 4 --value-bound 6",
+     _TYPED | {"exhaustive", "cli.checks"}),
+    ("verify identities --alpha-max 20 --trials 5",
+     _START | {"verifier", "cf", "continuants", "cli.checks"}),
 ])
 def test_subcommand_runs_only_the_modules_it_reads(argv, ran):
     # -S as above; the scanner, exhaustive, runs only under verify enumeration

@@ -157,5 +157,8 @@ def test_code_lines_leaves_out_docstrings_comments_and_blanks(tmp_path, capsys):
     assert script["code_lines"](CODE_LINES_SNIPPET) == 9
     (tmp_path / "a.py").write_text(CODE_LINES_SNIPPET)
     (tmp_path / "b.py").write_text('"""Only a docstring."""\n\nX = 1\n')
+    (tmp_path / "sub").mkdir()  # a subpackage's modules count, named by their path
+    (tmp_path / "sub" / "c.py").write_text("# a comment\nY = 2\nZ = 3\n")
     assert script["main"]([str(tmp_path)]) == 0
-    assert capsys.readouterr().out == "a.py       9\nb.py       1\ntotal     10\n"
+    assert capsys.readouterr().out == (
+        "a.py          9\nb.py          1\nsub/c.py      2\ntotal        12\n")

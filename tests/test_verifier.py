@@ -324,6 +324,22 @@ def test_build_table_to_the_catalog_bound_is_pinned():
         "2705aa2f57720c87ca68abd96f688f89217af47ca9a05d41f3128eac7b3fd08c")
 
 
+def test_build_table_reads_the_catalogs_it_builds(plant_catalogs):
+    # build_table builds each value's catalog itself, with asymmetry._catalog:
+    # a planted catalog without the sigma-even type (1; 1,2) of value 4 takes
+    # that cell out of the (4, even) row and moves no other cell
+    def cells(doc):
+        return {(r.value, r.parity): [(e.marginal, e.core) for e in r.entries]
+                for r in doc.rows}
+
+    expected = cells(build_table(4))
+    expected[(4, "even")].remove((1, "1,2"))
+    dropped = ExtendedAsymmetryType(1, (1, 2), "even")
+    plant_catalogs(lambda catalog: catalog._replace(
+        finite_types=catalog.finite_types - {dropped}))
+    assert cells(build_table(4)) == expected
+
+
 def test_build_table_determinism():
     assert build_table(3) == build_table(3)
 
