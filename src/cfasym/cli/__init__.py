@@ -6,9 +6,11 @@ stdout's reader has left, as a shell reports for a filter.  Output format
 comes from --format or the CFASYM_FORMAT environment variable (text, json,
 csv); results go to stdout, diagnostics to stderr.
 
-This module is the parser and the rendering; each subcommand's handler and
-arguments live in the group module that `_COMMANDS` names, one per library
-layer, and a start imports only the group of the subcommand it runs.
+This module is the parser and the rendering.  `_COMMANDS` is the one list
+of subcommands: it gives each its help line and its group module, one per
+library layer, which holds its handler `_cmd_<name>` and its argument
+function `_<name>_arguments`.  A start imports only the group of the
+subcommand it runs.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def _spec_arguments(p) -> None:
     p.add_argument("--s", type=int, choices=(0, 1), required=True)
 
 
-_COMMANDS = {  # name: (help, the group module whose COMMANDS has its handler and arguments)
+_COMMANDS = {  # name: (help, group module)
     "expand": ("expand alpha/beta into quotients", "quotients"),
     "continuant": ("continuant of a sequence or range", "quotients"),
     "anticont": ("anticontinuant of a sequence or range", "quotients"),
@@ -90,7 +92,9 @@ def build_parser(argv=None) -> _Parser:
     usage, --help and a bad choice read the same.  The named subcommand is
     the first token of argv that is a command name; with none, no
     subcommand gets arguments and no group module is imported, and with
-    argv None every one does and every group is imported.
+    argv None every one does and every group is imported.  A subcommand's
+    handler and arguments are read by name from the group `_COMMANDS`
+    gives it: `_cmd_<name>` and `_<name>_arguments`.
     """
     parser = _Parser(prog="cfasym",
                      description="Exact continued-fraction asymmetry toolkit")
@@ -101,9 +105,9 @@ def build_parser(argv=None) -> _Parser:
     for name, (summary, group) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         if argv is None or name == named:
-            handler, add_arguments = importlib.import_module(f"{__name__}.{group}").COMMANDS[name]
-            p.set_defaults(func=handler)
-            add_arguments(p)
+            module = importlib.import_module(f"{__name__}.{group}")
+            p.set_defaults(func=getattr(module, f"_cmd_{name}"))
+            getattr(module, f"_{name}_arguments")(p)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""The subcommands over asymmetry types: type, enumerate (`asymmetry`)."""
+"""The subcommands over asymmetry types (`asymmetry`)."""
 
 from .. import asymmetry
 from ..errors import DomainError
@@ -77,9 +77,3 @@ def _enumerate_arguments(p) -> None:
     p.add_argument("--parity", choices=("even", "odd", "both"), default="both")
     p.add_argument("--coarse", action="store_true",
                    help="print the sigma-even slice without sigma")
-
-
-COMMANDS = {  # name: (handler, adds its arguments)
-    "type": (_cmd_type, _type_arguments),
-    "enumerate": (_cmd_enumerate, _enumerate_arguments),
-}

@@ -1,4 +1,4 @@
-"""The subcommands that check the theorem: verify, table (`verifier`, `exhaustive`)."""
+"""The subcommands that check the theorem (`verifier`, `exhaustive`)."""
 
 from .. import congruence, exhaustive, verifier
 from ..errors import DomainError, as_plain
@@ -22,9 +22,14 @@ def _battery(args) -> _Result:
         raise DomainError(f"--out {out}: {found} is not a directory")
     battery = verifier.run_battery(args.n_max, args.alpha_max, args.identities_alpha_max,
                                    args.trials, args.seed)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in battery.files.items():
-        (out / name).write_text(text)
+    path = out
+    try:  # a write that fails is a domain error too, with the files before it kept
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in battery.files.items():
+            path = out / name
+            path.write_text(text)
+    except OSError as exc:
+        raise DomainError(f"--out {out}: cannot write {path}: {exc.strerror or exc}") from None
     report = battery.identities
     lines = [f"identities: checked={report.checked} violations={len(report.violations)}"]
     lines += [f"main (n={r.n:+d}, s={r.s}): checked={r.checked} "
@@ -94,9 +99,3 @@ def _verify_arguments(p) -> None:
 
 def _table_arguments(p) -> None:
     p.add_argument("--n-max", type=int, default=6)
-
-
-COMMANDS = {  # name: (handler, adds its arguments)
-    "verify": (_cmd_verify, _verify_arguments),
-    "table": (_cmd_table, _table_arguments),
-}

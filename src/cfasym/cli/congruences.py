@@ -1,4 +1,4 @@
-"""The subcommands over quadratic congruences: solve, exceptional, folded (`congruence`)."""
+"""The subcommands over quadratic congruences (`congruence`)."""
 
 from .. import congruence
 from ..errors import DomainError, as_plain
@@ -76,10 +76,3 @@ def _folded_arguments(p) -> None:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--eps", type=int, choices=(1, -1), default=1)
     p.add_argument("--normalize-only", action="store_true")
-
-
-COMMANDS = {  # name: (handler, adds its arguments)
-    "solve": (_cmd_solve, _solve_arguments),
-    "exceptional": (_cmd_exceptional, _exceptional_arguments),
-    "folded": (_cmd_folded, _folded_arguments),
-}

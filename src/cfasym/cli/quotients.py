@@ -1,4 +1,4 @@
-"""The subcommands over quotient sequences: expand, continuant, anticont (`cf`, `continuants`)."""
+"""The subcommands over quotient sequences (`cf`, `continuants`)."""
 
 from .. import cf, continuants
 from ..errors import DomainError, as_plain
@@ -78,10 +78,3 @@ def _anticont_arguments(p) -> None:
     p.add_argument("sequence")
     p.add_argument("--i", type=int, default=0)
     p.add_argument("--j", type=int)
-
-
-COMMANDS = {  # name: (handler, adds its arguments)
-    "expand": (_cmd_expand, _expand_arguments),
-    "continuant": (_cmd_continuant, _continuant_arguments),
-    "anticont": (_cmd_anticont, _anticont_arguments),
-}

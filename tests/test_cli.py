@@ -175,13 +175,20 @@ def test_the_one_command_parser_reads_as_the_full_one(capsys, monkeypatch, argv)
 
 
 def test_every_subcommand_is_in_exactly_one_group():
-    # the core's table names each subcommand's group; that group, and no
-    # other module of the package, lists its handler and arguments
-    groups = {m.name: importlib.import_module(f"cfasym.cli.{m.name}").COMMANDS
+    # the core's table is the one list of subcommands: each resolves by name
+    # to its handler and arguments in the group it names and in no other,
+    # and every handler of a group is listed there
+    groups = {m.name: importlib.import_module(f"cfasym.cli.{m.name}")
               for m in pkgutil.iter_modules(cli.__path__) if m.name != "__main__"}
-    listed = [name for table in groups.values() for name in table]
-    assert sorted(listed) == sorted(cli._COMMANDS) == sorted(_COMMAND_NAMES)
-    assert all(name in groups[group] for name, (_, group) in cli._COMMANDS.items())
+    assert sorted(cli._COMMANDS) == sorted(_COMMAND_NAMES)
+    for name, (_, group) in cli._COMMANDS.items():
+        parts = (f"_cmd_{name}", f"_{name}_arguments")
+        assert [g for g, module in groups.items()
+                if any(hasattr(module, part) for part in parts)] == [group]
+        assert all(callable(getattr(groups[group], part)) for part in parts)
+    handlers = [attr.removeprefix("_cmd_") for module in groups.values()
+                for attr in vars(module) if attr.startswith("_cmd_")]
+    assert sorted(handlers) == sorted(cli._COMMANDS)
 
 
 def test_a_start_builds_only_the_named_subcommands_arguments(capsys):
@@ -358,6 +365,19 @@ def test_verify_battery_refuses_an_out_at_a_file(capsys, monkeypatch, tmp_path, 
     assert found.read_text() == "kept\n"
 
 
+def test_verify_battery_turns_a_failed_write_into_the_domain_exit(capsys, tmp_path):
+    # one line and the domain exit, not a traceback with the usage exit; the
+    # files written before the failed one stay
+    out = tmp_path / "reports"
+    (out / "table.csv").mkdir(parents=True)
+    code, stdout, err = run(capsys, *_BATTERY, "--out", str(out))
+    assert code == 2 and stdout == ""
+    assert re.fullmatch(rf"cfasym: domain error: --out {re.escape(str(out))}: "
+                        rf"cannot write {re.escape(str(out / 'table.csv'))}: .+\n", err)
+    names = list(verifier.run_battery(2, 60, 30, 50, 0).files)
+    assert sorted(p.name for p in out.iterdir()) == sorted(names[:names.index("table.csv") + 1])
+
+
 def test_closed_stdout_exits_141_without_a_traceback():
     # the table's 112 KB fill the pipe, so the child is still writing when
     # its reader leaves after one line, as `cfasym table | head -1` does
@@ -410,6 +430,12 @@ def test_fibonacci_past_the_int_digit_limit_prints_all_its_digits(capsys, int_di
     assert run(capsys, "--format", "json", "continuant", "--fib", "25000") == (
         0, '{"fibonacci": ' + digits + "}\n", "")
     assert sys.get_int_max_str_digits() == 640
+
+
+def test_the_cli_runs_on_a_python_without_an_int_digit_limit(capsys, monkeypatch):
+    # Python 3.10.0-3.10.6 have no int/str digit limit and no function to read it
+    monkeypatch.delattr(sys, "get_int_max_str_digits", raising=False)
+    assert run(capsys, "expand", "25", "7") == (0, "3,1,1,3\n", "")
 
 
 def test_env_format_default(capsys, monkeypatch):
