@@ -249,6 +249,11 @@ def _catalog(n: int, pairs: list[tuple[int, tuple[int, ...]]],
     return TypeCatalog(finite, families)
 
 
+def _check_target_max(n: int) -> None:
+    if abs(n) > TARGET_MAX:
+        raise DomainError(f"target must be at most {TARGET_MAX} in absolute value, got {n}")
+
+
 def enumerate_types(n: int, lambda_parity: LambdaParity = "both") -> TypeCatalog:
     """All extended types with anticontinuant value n, optionally filtered by core-length parity.
 
@@ -262,8 +267,7 @@ def enumerate_types(n: int, lambda_parity: LambdaParity = "both") -> TypeCatalog
         raise DomainError(f"target must be an integer, got {n!r}")
     if n == 0:
         raise DomainError("value 0 holds exactly for symmetric sequences; not enumerable")
-    if abs(n) > TARGET_MAX:
-        raise DomainError(f"target must be at most {TARGET_MAX} in absolute value, got {n}")
+    _check_target_max(n)
     if lambda_parity not in ("even", "odd", "both"):
         raise DomainError(f"lambda_parity must be even, odd, or both, got {lambda_parity!r}")
     return _catalog(n, _sigma_even_pairs(abs(n))[abs(n)], lambda_parity)

@@ -5,12 +5,6 @@ violations found, and from the console script 141 (128 + SIGPIPE) when
 stdout's reader has left, as a shell reports for a filter.  Output format
 comes from --format or the CFASYM_FORMAT environment variable (text, json,
 csv); results go to stdout, diagnostics to stderr.
-
-This module is the parser and the rendering.  `_COMMANDS` is the one list
-of subcommands: it gives each its help line and its group module, one per
-library layer, which holds its handler `_cmd_<name>` and its argument
-function `_<name>_arguments`.  A start imports only the group of the
-subcommand it runs.
 """
 
 from __future__ import annotations

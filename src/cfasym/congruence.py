@@ -5,12 +5,6 @@ by CRT), the finite set of moduli where the length-parity conclusion can
 fail, the pairs among those moduli whose expansions never reach the target
 anticontinuant, and the n = +-2 family of fractions b*n^2 / (b*a*n - eps)
 with its three quotient patterns.
-
-The root side needs no continued fractions, and `asymmetry` and `cf` are
-read at call time (see the package docstring), so `solve_quadratic`,
-`exceptional_candidates`, `candidate_pairs` and `true_exceptions` run only
-this module and `errors`; the folded operations and `main_theorem_specs`
-run what they read.
 """
 
 from __future__ import annotations
@@ -55,9 +49,6 @@ class CongruenceSpec(_SpecFields):
     @property
     def unit(self) -> int:
         return 1 if self.s == 0 else -1
-
-    def negated(self) -> "CongruenceSpec":
-        return CongruenceSpec(-self.n, self.s)
 
 
 class ExceptionalCertificate(NamedTuple):

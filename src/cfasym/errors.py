@@ -20,10 +20,15 @@ class ViolationRecord(NamedTuple):
     kind: str
 
 
-# `ok` and `to_json` of both report classes, the verifier's and the enumeration check's
+# `ok`, `to_dict` and `to_json` of both report classes, the verifier's and the enumeration check's
 @property
 def report_ok(report) -> bool:
     return not report.violations
+
+
+def report_to_dict(report, left_out=()) -> dict:
+    """The report's fields but `left_out`, plus `ok`; tuples serialize as JSON arrays."""
+    return {**{k: v for k, v in as_plain(report).items() if k not in left_out}, "ok": report.ok}
 
 
 def report_to_json(report) -> str:

@@ -54,10 +54,7 @@ in scan order, and the hit order of the tests' listing `tests/scanning.py`.
 
 All arithmetic is in Python ints.  Only the scan is free of type theory:
 it uses continuant algebra alone, so it stays an independent check of the
-type catalog.  The check, `verify_enumeration`, decomposes each instance and
-builds its catalogs through `asymmetry`, read at call time (see the package
-docstring), so the scan and the check run only this module, `errors`,
-`asymmetry` and `continuants`, and `asymmetry` only once the check is called.
+type catalog.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ from __future__ import annotations
 from typing import Iterator, NamedTuple
 
 from . import asymmetry
-from .errors import DomainError, ViolationRecord, as_plain, is_int, report_ok, report_to_json
+from .errors import DomainError, ViolationRecord, is_int, report_ok, report_to_dict, report_to_json
 
 # largest max_entry: the walk visits at most B + 1 middles (x, *r) for each r
 # but value 2's (x, 1), one for every x, so only those grow with max_entry
@@ -143,11 +140,8 @@ class EnumerationReport(NamedTuple):
     types: int
     violations: tuple[ViolationRecord, ...]
     ok = report_ok
+    to_dict = report_to_dict
     to_json = report_to_json
-
-    def to_dict(self) -> dict:
-        """The fields plus `ok`, as `VerificationReport.to_dict` gives them."""
-        return {**as_plain(self), "ok": self.ok}
 
 
 def verify_enumeration(max_len: int, max_entry: int, value_bound: int) -> EnumerationReport:

@@ -1,22 +1,8 @@
 """Sweep verification of the root/expansion correspondence and table building.
 
-Two sweeps and the table are provided.  `verify_identities` exhaustively
-rechecks, over all coprime pairs up to a bound, the congruence satisfied by
-both representations, the half bound on the selected representation, and
-the parity predictor, plus seeded random checks of the continuant product
-identity and reversal antisymmetry.  `verify_main_theorem` compares, modulus
-by modulus, the roots of x^2 + nx + (-1)^s with the denominators of the
-selected expansions that carry a type of value n and length parity s,
-composed from the type catalog (`_typed_pairs`); the finitely many certified
-moduli are excluded and reported.  `build_table` lists each value's printable
-types and true exceptions, and `run_battery` runs both sweeps and the table
-together.  Reports are plain data with stable ordering, so equal inputs give
-byte-identical serializations.  The third check, `verify_enumeration`, lives
-beside its scanner in `exhaustive`.
-
-Sibling modules are read at call time (see the package docstring), so
-`verify_identities` runs no `asymmetry` or `congruence`, and `build_table`
-no `cf`.
+Reports are plain data with stable ordering, so equal inputs give
+byte-identical serializations.  The third check, `verify_enumeration`,
+lives beside its scanner in `exhaustive`.
 """
 
 from __future__ import annotations
@@ -25,8 +11,8 @@ from math import gcd
 from typing import Iterable, Iterator, Literal, NamedTuple, Optional
 
 from . import asymmetry, cf, congruence, continuants
-from .errors import (DomainError, ViolationRecord, as_plain, is_int, render_csv, report_ok,
-                     report_to_json)
+from .errors import (DomainError, ViolationRecord, is_int, render_csv, report_ok,
+                     report_to_dict, report_to_json)
 
 Mode = Literal["refined", "coarse"]
 
@@ -65,14 +51,11 @@ class VerificationReport(NamedTuple):
     to_json = report_to_json
 
     def to_dict(self) -> dict:
-        """The fields of this report's kind plus `ok`; tuples serialize as JSON arrays."""
+        """The fields of this report's kind plus `ok`, through `report_to_dict`."""
         if self.kind == "main_theorem":
-            other = ("trials", "seed")
-        else:
-            other = ("n", "s", "mode", "excluded", "coarse_counterexamples",
-                     "necessary_exclusions")
-        out = {k: v for k, v in as_plain(self).items() if k not in other}
-        return {**out, "ok": self.ok}
+            return report_to_dict(self, ("trials", "seed"))
+        return report_to_dict(self, ("n", "s", "mode", "excluded", "coarse_counterexamples",
+                                     "necessary_exclusions"))
 
 
 def _check_alpha_max(name: str, alpha_max) -> None:
@@ -160,9 +143,7 @@ def verify_main_theorem(spec: congruence.CongruenceSpec, alpha_max: int,
     if mode not in ("refined", "coarse"):
         raise DomainError(f"mode must be 'refined' or 'coarse', got {mode!r}")
     _check_alpha_max("alpha_max", alpha_max)
-    if abs(spec.n) > asymmetry.TARGET_MAX:  # enumerate_types' refusal, before the certified set
-        raise DomainError(f"target must be at most {asymmetry.TARGET_MAX} in absolute value, "
-                          f"got {spec.n}")
+    asymmetry._check_target_max(spec.n)  # enumerate_types' refusal, before the certified set
     candidates = congruence.exceptional_candidates(spec)  # also validates (n, s)
     n, s = spec.n, spec.s
     catalog = asymmetry.enumerate_types(n, "odd" if s else "even")
@@ -311,14 +292,12 @@ def build_table(n_max: int) -> TableDocument:
     covered = set(congruence.main_theorem_specs(n_max))  # refuses a bad n_max first
     rows = []
     for value, pairs in asymmetry._sigma_even_pairs(n_max).items():
-        # one catalog per value, split by core-length parity as enumerate_types does
-        catalog = asymmetry._catalog(value, pairs)
         for parity_bit, parity in ((0, "even"), (1, "odd")):
+            catalog = asymmetry._catalog(value, pairs, parity)
             # sort on (core length, marginal, entries), a family's slot counting as 0
             keyed = [((len(core), c, core), c, ",".join(map(str, core)))
-                     for c, core in catalog.coarse_pairs() if len(core) % 2 == parity_bit]
-            keyed += [(f.sort_key(), f.c, f.display_core())
-                      for f in catalog.coarse_families() if len(f.pattern) % 2 == parity_bit]
+                     for c, core in catalog.coarse_pairs()]
+            keyed += [(f.sort_key(), f.c, f.display_core()) for f in catalog.coarse_families()]
             entries = [TableEntry(c, core) for _, c, core in sorted(keyed)]
             spec = congruence.CongruenceSpec(value, parity_bit)
             exceptions = tuple(congruence.true_exceptions(spec)) if spec in covered else ()

@@ -444,6 +444,8 @@ def test_env_format_default(capsys, monkeypatch):
     assert code == 0 and json.loads(out) == {"quotients": [3, 1, 1, 3]}
     monkeypatch.setenv("CFASYM_FORMAT", "yaml")
     assert run(capsys, "expand", "25", "7")[0] == 1
+    # --format wins over the variable, even one the check would refuse
+    assert run(capsys, "--format", "text", "expand", "25", "7")[:2] == (0, "3,1,1,3\n")
 
 
 def test_csv_unavailable_is_usage_error(capsys):

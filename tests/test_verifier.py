@@ -11,7 +11,7 @@ from cfasym.asymmetry import (TARGET_MAX, ExtendedAsymmetryType, decompose, enum
 from cfasym.cf import evaluate, expand, parity_by_inverse
 from cfasym.congruence import (CongruenceSpec, ExceptionalCertificate, FoldedParams,
                                main_theorem_specs, solve_quadratic)
-from cfasym.errors import DomainError, ViolationRecord
+from cfasym.errors import DomainError, ViolationRecord, as_plain
 from cfasym.exhaustive import (EnumerationReport, _checked_bound, _two_sided_blocks,
                                scan_position, verify_enumeration)
 from cfasym.verifier import _typed_pairs, build_table, verify_identities, verify_main_theorem
@@ -261,7 +261,7 @@ def test_report_dict_keeps_tuples_and_lists():
     assert data["excluded"] == ({"modulus": 3, "certificates": (
         {"condition": "gamma_condition", "witness": 1},)},)
     assert data["necessary_exclusions"] == (3,) and data["coarse_counterexamples"] == ()
-    assert verifier.as_plain([violation, (violation,)]) == [plain_violation, (plain_violation,)]
+    assert as_plain([violation, (violation,)]) == [plain_violation, (plain_violation,)]
 
 
 def test_report_json_keeps_only_its_kinds_fields():
