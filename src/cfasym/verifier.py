@@ -125,19 +125,21 @@ def verify_identities(max_alpha: int, trials: int = 10000, seed: int = 0) -> Ver
 
 def verify_main_theorem(spec: congruence.CongruenceSpec, alpha_max: int,
                         mode: Mode = "refined") -> VerificationReport:
-    """Compare congruence roots against type-matching expansions for each modulus.
+    """Compare congruence roots against type-matching expansions as two sets of pairs.
 
-    For every alpha <= alpha_max outside the certified exceptional set, the
-    root set of x^2 + nx + (-1)^s must equal the set of denominators whose
-    selected expansion carries a type of `enumerate_types(n)` at core-length
-    parity s.  The roots come from `solve_quadratic`; the typed denominators
-    are composed from the catalog's types (`_typed_pairs`), so the sweep
-    compares two independent derivations.  In coarse mode the same refined
-    comparison runs, and additionally each modulus is rechecked against the
+    Outside the certified exceptional set, the pairs (alpha, beta) with
+    alpha <= alpha_max and beta a root of x^2 + nx + (-1)^s (mod alpha) must
+    equal the pairs whose selected expansion carries a type of
+    `enumerate_types(n)` at core-length parity s.  The roots come from
+    `solve_quadratic`; the typed pairs are composed from the catalog's types
+    (`_typed_pairs`), so the sweep compares two independent derivations.
+    `checked` counts their union and `matches` their intersection; each
+    difference is a violation.  In coarse mode the same refined comparison
+    runs, and additionally the roots are compared with the pairs of the
     sigma-free printable (c, core) list, each pair composed at both sigmas;
     disagreements land in `coarse_counterexamples` without affecting
-    `violations`.  Excluded moduli where the refined equality fails anyway
-    are reported as `necessary_exclusions`.  Bad arguments, including
+    `violations`.  Certified moduli where the two sets differ anyway are
+    reported as `necessary_exclusions`.  Bad arguments, including
     |n| > TARGET_MAX, raise DomainError before any modulus is visited.
     """
     if mode not in ("refined", "coarse"):
@@ -147,54 +149,49 @@ def verify_main_theorem(spec: congruence.CongruenceSpec, alpha_max: int,
     candidates = congruence.exceptional_candidates(spec)  # also validates (n, s)
     n, s = spec.n, spec.s
     catalog = asymmetry.enumerate_types(n, "odd" if s else "even")
-    typed_of = _typed_pairs(catalog.finite_types, alpha_max)
-    if mode == "coarse":
-        listed_of = _typed_pairs([asymmetry.ExtendedAsymmetryType(c, core, sigma)
-                                  for c, core in catalog.coarse_pairs()
-                                  for sigma in ("even", "odd")], alpha_max)
-
     excluded = tuple(ExcludedModulus(m, certs) for m, certs in candidates.items()
                      if m <= alpha_max)
-    violations: list[ViolationRecord] = []
-    coarse_cex: list[CoarseCounterexample] = []
-    necessary: list[int] = []
-    checked = 0
-    matches = 0
-
-    for alpha in range(2, alpha_max + 1):
-        roots = set(congruence.solve_quadratic(spec, alpha))
-        typed = typed_of.get(alpha, set())
-        if alpha in candidates:
-            if roots != typed:
-                necessary.append(alpha)
-            continue
-        checked += len(roots | typed)
-        matches += len(roots & typed)
-        for kind, betas in (("root_without_type", roots - typed),
-                            ("type_without_root", typed - roots)):
-            for beta in sorted(betas):
-                violations.append(ViolationRecord(alpha, beta, cf.expand(alpha, beta), kind))
-        if mode == "coarse":
-            listed = listed_of.get(alpha, set())
-            for direction, betas in (("root_without_listed_type", roots - listed),
-                                     ("listed_type_without_root", listed - roots)):
-                for beta in sorted(betas):
-                    q = cf.expand(alpha, beta)
-                    dec = asymmetry.decompose(q)
-                    c, core = (dec.c, dec.core) if len(q) % 2 == s and dec.c else (0, ())
-                    coarse_cex.append(CoarseCounterexample(alpha, beta, c, core, direction))
+    roots = {(alpha, beta) for alpha in range(2, alpha_max + 1)
+             for beta in congruence.solve_quadratic(spec, alpha)}
+    typed = _typed_pairs(catalog.finite_types, alpha_max)
+    necessary = tuple(sorted({alpha for alpha, _ in roots ^ typed if alpha in candidates}))
+    # the certified moduli leave both sides before the comparison
+    roots, typed = ({p for p in pairs if p[0] not in candidates} for pairs in (roots, typed))
+    violations = tuple(ViolationRecord(a, b, cf.expand(a, b), kind) for a, b, kind
+                       in _differences(roots, typed, "root_without_type", "type_without_root"))
+    coarse_cex = []
+    if mode == "coarse":
+        listed = _typed_pairs([asymmetry.ExtendedAsymmetryType(c, core, sigma)
+                               for c, core in catalog.coarse_pairs()
+                               for sigma in ("even", "odd")], alpha_max)
+        for alpha, beta, direction in _differences(
+                roots, {p for p in listed if p[0] not in candidates},
+                "root_without_listed_type", "listed_type_without_root"):
+            q = cf.expand(alpha, beta)
+            dec = asymmetry.decompose(q)
+            c, core = (dec.c, dec.core) if len(q) % 2 == s and dec.c else (0, ())
+            coarse_cex.append(CoarseCounterexample(alpha, beta, c, core, direction))
 
     return VerificationReport(
         kind="main_theorem", alpha_min=2, alpha_max=alpha_max,
-        checked=checked, matches=matches, violations=tuple(violations),
+        checked=len(roots | typed), matches=len(roots & typed), violations=violations,
         n=n, s=s, mode=mode, excluded=excluded,
-        coarse_counterexamples=tuple(coarse_cex),
-        necessary_exclusions=tuple(necessary))
+        coarse_counterexamples=tuple(coarse_cex), necessary_exclusions=necessary)
+
+
+def _differences(roots: set, other: set, missing: str, extra: str) -> list[tuple[int, int, str]]:
+    """(alpha, beta, kind) of `roots - other` as `missing` and `other - roots` as `extra`.
+
+    Ordered by modulus, then `missing` before `extra`, then beta.
+    """
+    keyed = sorted([(alpha, 0, beta) for alpha, beta in roots - other]
+                   + [(alpha, 1, beta) for alpha, beta in other - roots])
+    return [(alpha, beta, (missing, extra)[k]) for alpha, k, beta in keyed]
 
 
 def _typed_pairs(types: Iterable[asymmetry.ExtendedAsymmetryType],
-                 alpha_max: int) -> dict[int, set[int]]:
-    """Denominators by modulus <= alpha_max of the selected expansions carrying `types`.
+                 alpha_max: int) -> set[tuple[int, int]]:
+    """The pairs (alpha, beta), alpha <= alpha_max, whose selected expansions carry `types`.
 
     The sequences of type (c, core, sigma) are exactly
     outer + (p + (-1)^sigma * c, *core, p) + reversed(outer) with a symmetric
@@ -213,13 +210,13 @@ def _typed_pairs(types: Iterable[asymmetry.ExtendedAsymmetryType],
     walk, so a bad entry raises DomainError; the blocks and the walk run
     unchecked.
     """
-    pairs: dict[int, set[int]] = {}
+    pairs: set[tuple[int, int]] = set()
 
     def walk(k: int, kt: int, kh: int, km: int, record: bool, record_wraps: bool) -> None:
         # q has K(q) = k, K(q[1:]) = kt, K(q[:-1]) = kh and K(q[1:-1]) = km; its
         # wrappings are recorded at every other depth, starting from record_wraps
         if record:
-            pairs.setdefault(k, set()).add(kt)
+            pairs.add((k, kt))
         a = 1
         while (alpha := a * (a * k + kt + kh) + km) <= alpha_max:
             walk(alpha, a * k + kh, a * k + kt, k, record_wraps, not record_wraps)

@@ -23,10 +23,6 @@ from scanning import scan_small_anticontinuants, scan_small_anticontinuants_refe
 SPECS = main_theorem_specs(6)
 
 
-def _flat(pairs_by_alpha):
-    return {(alpha, beta) for alpha, betas in pairs_by_alpha.items() for beta in betas}
-
-
 def test_typed_pairs_match_a_scan_of_every_pair():
     # the oracle: every coprime pair through public expand, anticontinuant and decompose
     by_value, by_type = {}, {}
@@ -43,13 +39,12 @@ def test_typed_pairs_match_a_scan_of_every_pair():
     assert len(SPECS) == 22
     for spec in SPECS:
         catalog = enumerate_types(spec.n, "odd" if spec.s else "even")
-        typed = _flat(_typed_pairs(catalog.finite_types, 300))
-        assert typed == by_value[(spec.n, spec.s)], spec
+        assert _typed_pairs(catalog.finite_types, 300) == by_value[(spec.n, spec.s)], spec
         pairs = catalog.coarse_pairs()
         coarse_types = [ExtendedAsymmetryType(c, core, sigma)
                         for c, core in pairs for sigma in ("even", "odd")]
         listed = set().union(*(by_type.get((spec.s, c, core), set()) for c, core in pairs))
-        assert _flat(_typed_pairs(coarse_types, 300)) == listed, spec
+        assert _typed_pairs(coarse_types, 300) == listed, spec
 
 
 @pytest.mark.parametrize("entry", [0, -1, True])
@@ -162,13 +157,29 @@ def test_main_theorem_rejects_bad_alpha_max(alpha_max):
 
 
 @pytest.mark.parametrize("drop, add, record", [
-    ((2,), (), (7, 2, (3, 2), "type_without_root")),  # 2^2 + 2 + 1 = 7
-    ((), (3,), (7, 3, (2, 3), "root_without_type")),  # 3^2 + 3 + 1 = 13
+    ((2,), (), [(7, 2, (3, 2), "type_without_root")]),  # 2^2 + 2 + 1 = 7
+    ((), (3,), [(7, 3, (2, 3), "root_without_type")]),  # 3^2 + 3 + 1 = 13
+    ((2,), (3,), [(7, 3, (2, 3), "root_without_type"), (7, 2, (3, 2), "type_without_root")]),
 ])
 def test_main_theorem_reports_a_planted_root_fault(plant_roots, drop, add, record):
     plant_roots(7, drop=drop, add=add)
     report = verify_main_theorem(CongruenceSpec(1, 0), 10)
-    assert [(v.alpha, v.beta, v.expansion, v.kind) for v in report.violations] == [record]
+    assert [(v.alpha, v.beta, v.expansion, v.kind) for v in report.violations] == record
+
+
+@pytest.mark.parametrize("mode", ["refined", "coarse"])
+@pytest.mark.parametrize("spec, alpha, drop, add", [
+    (CongruenceSpec(1, 0), 2, (), (1,)),   # no root mod 2: a root without a type
+    (CongruenceSpec(4, 1), 20, (3,), ()),  # roots = typed = {3, 13}: a type without a root
+])
+def test_main_theorem_puts_a_fault_at_a_certified_modulus_only_in_necessary_exclusions(
+        plant_roots, mode, spec, alpha, drop, add):
+    clean = verify_main_theorem(spec, 60, mode)
+    assert alpha in {e.modulus for e in clean.excluded} - set(clean.necessary_exclusions)
+    plant_roots(alpha, drop=drop, add=add)
+    report = verify_main_theorem(spec, 60, mode)
+    assert report.necessary_exclusions == tuple(sorted(clean.necessary_exclusions + (alpha,)))
+    assert report._replace(necessary_exclusions=clean.necessary_exclusions) == clean
 
 
 @pytest.mark.parametrize("alpha, beta, expansion", [
